@@ -148,7 +148,7 @@ func extRun(inPath, outPath, memFlag string, blockRecs int, omega uint64, k, fan
 	fmt.Printf("  plan     : k=%d, fan-in=%d, %d runs, %d merge levels (Appendix A: ω/lg(M/B) admits k=%d)\n",
 		rep.K, rep.FanIn, rep.Runs, rep.Levels,
 		extmem.ChooseK(float64(omega), rep.Mem, rep.Block))
-	engine := "sequential engine"
+	engine := "one worker, inline IO"
 	if rep.Procs > 1 {
 		engine = fmt.Sprintf("pipelined formation + %d-worker parallel merge + async IO", rep.Procs)
 	}

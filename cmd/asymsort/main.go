@@ -39,8 +39,9 @@
 // With -procs P > 1 (the default is GOMAXPROCS) the engine pipelines
 // run formation, cuts every merge into P worker-private key ranges,
 // and overlaps block IO with compute — the block-write ledger is
-// identical to the sequential engine's at any P; -procs 1 selects the
-// strictly sequential baseline.
+// identical at any P; -procs 1 runs the same engine on one worker
+// (inline formation, one-range merges, inline IO), the speedup
+// baseline.
 package main
 
 import (

@@ -11,10 +11,11 @@
 // the simulator meters), and both measured best k's are compared
 // against the Appendix A prediction k/log k < ω/log(M/B).
 //
-// The sweep runs the one-worker sequential engine; a coda then re-runs
-// the best k on the GOMAXPROCS-wide parallel engine — pipelined run
-// formation, splitter-partitioned merge, async IO — and shows the
-// wall-clock dropping while the write ledger stays bit-identical.
+// The sweep runs the engine on one worker (P=1: inline formation,
+// one-range merges, inline IO); a coda then re-runs the best k
+// GOMAXPROCS-wide — pipelined run formation, splitter-partitioned
+// merge, async IO — and shows the wall-clock dropping while the write
+// ledger stays bit-identical.
 //
 // Run: go run ./examples/extsort
 package main
@@ -82,7 +83,7 @@ func main() {
 		levels := aemsort.LogBase(k*m/b, (n+b-1)/b)
 
 		// Measured: the extmem engine on the same (n, M, B, k), on the
-		// sequential one-worker baseline.
+		// one-worker baseline.
 		outPath := filepath.Join(dir, "out.bin")
 		t0 := time.Now()
 		rep, err := extmem.Sort(extmem.Config{

@@ -135,22 +135,34 @@ func mergeSortRec(ma *aem.Machine, in *aem.File, k int, opt Options) *aem.File {
 	if l < 2 {
 		l = 2
 	}
-	// Partition into at most l subarrays at block granularity.
-	blocks := in.Blocks()
-	per := (blocks + l - 1) / l
-	runs := make([]*aem.File, 0, l)
-	for b0 := 0; b0 < blocks; b0 += per {
-		lo := b0 * ma.B()
-		hi := (b0 + per) * ma.B()
-		if hi > n {
-			hi = n
-		}
-		runs = append(runs, mergeSortRec(ma, in.Slice(lo, hi), k, opt))
+	bounds := Partition(n, ma.B(), l)
+	runs := make([]*aem.File, 0, len(bounds)-1)
+	for i := 1; i < len(bounds); i++ {
+		runs = append(runs, mergeSortRec(ma, in.Slice(bounds[i-1], bounds[i]), k, opt))
 	}
 	if len(runs) == 1 {
 		return runs[0]
 	}
 	return mergeRuns(ma, runs, n, opt)
+}
+
+// Partition is AEM-MERGESORT's split of an n-record node into at most
+// l subarrays at block granularity: ⌈n/B⌉ blocks cut into groups of
+// ⌈blocks/l⌉, the last group taking the ragged tail. It returns the
+// child bounds relative to the node's start — child i covers
+// [bounds[i], bounds[i+1]), bounds[0] = 0, and the last bound is n —
+// so every child but the last is a whole number of blocks. The
+// simulator and the disk engine's planner (extmem.NewPlan) both cut
+// through this one function, which is what makes their merge trees,
+// and hence their block-write ledgers, coincide level for level.
+func Partition(n, block, l int) []int {
+	blocks := (n + block - 1) / block
+	per := (blocks + l - 1) / l
+	bounds := make([]int, 1, (blocks+per-1)/per+1)
+	for b0 := per; b0 < blocks; b0 += per {
+		bounds = append(bounds, b0*block)
+	}
+	return append(bounds, n)
 }
 
 // entry is a queue element of the merge: the record, whether it is the

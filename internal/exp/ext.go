@@ -17,7 +17,7 @@ import (
 // external sort — across the branching-factor sweep of E4/Appendix A,
 // reporting measured block IO and wall-clock instead of a simulated
 // ledger. One workload is staged to disk once; every k sorts it under
-// the same memory budget twice — on the one-worker sequential engine
+// the same memory budget twice — on the engine's one-worker case
 // and on the procs-wide parallel pipeline — so each row shows the
 // read/write trade AND the multi-core speedup at identical ledgers
 // (the write columns are asserted equal across the two runs). Like

@@ -11,11 +11,13 @@ import (
 // This file is the asynchronous IO worker layer under BlockFile: a
 // small pool of IO goroutines (IOQueue) plus the two façades the engine
 // stacks on it — prefetchReader (read-ahead) and asyncWriter
-// (write-behind). Both issue exactly the transfers their synchronous
-// counterparts (runReader, runWriter) would issue, span for span, so
-// the IOStats ledger is identical whether IO is overlapped or not; the
-// only difference is when the pread/pwrite happens relative to the
-// compute that consumes or produced the records.
+// (write-behind). A prefetchReader issues exactly the refills a
+// runReader with the same buffer capacity would, and an asyncWriter
+// flushes the same spans whether its session queues them or writes
+// them inline, so the IOStats ledger is identical whether IO is
+// overlapped or not; the only difference is when the pread/pwrite
+// happens relative to the compute that consumes or produced the
+// records.
 //
 // The queue is typed, not opaque: a submitted transfer carries its
 // (file, offset, span, direction), which lets the queue merge adjacent
@@ -399,16 +401,33 @@ func (q *IOQueue) execWriteChain(c *ioChain) {
 // engine's own transfers have completed. This is what lets an engine
 // remove its spill files on exit — including error and cancellation
 // exits with prefetches still in flight — without closing a queue
-// other engines are using.
+// other engines are using. A session without a queue — the one-worker
+// engine's — runs every transfer inline on the caller.
 type ioSession struct {
 	q  *IOQueue
 	wg sync.WaitGroup
 }
 
 func (s *ioSession) submit(op *ioOp) {
+	if s.q == nil {
+		op.run()
+		return
+	}
 	s.wg.Add(1)
 	op.done = s.wg.Done
 	s.q.submit(op)
+}
+
+// async reports whether transfers overlap the caller's compute.
+func (s *ioSession) async() bool { return s.q != nil }
+
+// writeBufs is how many flush buffers an asyncWriter on the session
+// holds: two to write behind, one to write inline.
+func (s *ioSession) writeBufs() int {
+	if s.async() {
+		return 2
+	}
+	return 1
 }
 
 // drain waits for every transfer this session submitted.
@@ -432,19 +451,10 @@ type prefetchReader struct {
 	done     bool          // exhausted or failed; no further launches
 }
 
-// newPrefetchReader streams [lo, hi) of bf through double buffers of
-// bufRecs records each.
-func newPrefetchReader(bf *BlockFile, lo, hi int, q *ioSession, bufRecs int) *prefetchReader {
-	if bufRecs < 1 {
-		panic("extmem: prefetchReader buffer must have capacity")
-	}
-	return newPrefetchReaderBufs(bf, lo, hi, q,
-		make([]seq.Record, bufRecs), make([]seq.Record, bufRecs))
-}
-
-// newPrefetchReaderBufs adopts two caller-owned refill buffers — the
-// merge workers carve them from their reusable arenas.
-func newPrefetchReaderBufs(bf *BlockFile, lo, hi int, q *ioSession, b0, b1 []seq.Record) *prefetchReader {
+// newPrefetchReader streams [lo, hi) of bf through two caller-owned
+// refill buffers — the merge workers carve them from their reusable
+// arenas.
+func newPrefetchReader(bf *BlockFile, lo, hi int, q *ioSession, b0, b1 []seq.Record) *prefetchReader {
 	if len(b0) == 0 || len(b1) == 0 {
 		panic("extmem: prefetchReader buffers must have capacity")
 	}
@@ -499,11 +509,16 @@ func (r *prefetchReader) advance() (bool, error) {
 	return r.refill()
 }
 
-// asyncWriter is a runWriter with write-behind: it fills one of two
-// block-multiple buffers while the other's write is in flight on the
-// ioq. Flush offsets and spans are exactly those of a runWriter with
-// the same buffer capacity, so the charged write ledger is identical;
-// close joins the last in-flight write before returning.
+// asyncWriter appends records to a destination region [base, …) of a
+// BlockFile through block-multiple buffers, so every flush is
+// block-aligned and a region of n records costs exactly ⌈n/B⌉ block
+// writes — the same accounting as the simulator's store-block flushes.
+// On a queued session it writes behind: it fills one of two buffers
+// while the other's write is in flight, and close joins the last
+// write. On an inline session both buffer slots alias one slice: each
+// flush is a direct WriteAt that returns before the buffer refills.
+// Flush offsets and spans depend only on the buffer capacity, so the
+// charged write ledger is the same either way.
 type asyncWriter struct {
 	bf   *BlockFile
 	base int // absolute record offset of the region start
@@ -515,22 +530,19 @@ type asyncWriter struct {
 	pend chan ioResult
 }
 
-// newAsyncWriter appends to [base, …) of bf through two fresh buffers
-// of bufRecs records (a positive whole number of blocks) each.
-func newAsyncWriter(bf *BlockFile, base int, q *ioSession, bufRecs int) *asyncWriter {
-	return newAsyncWriterBufs(bf, base, q,
-		make([]seq.Record, 0, bufRecs), make([]seq.Record, 0, bufRecs))
-}
-
-// newAsyncWriterBufs adopts two caller-owned flush buffers (equal
-// capacity, a positive whole number of blocks) — the merge workers
-// carve them from their reusable arenas.
-func newAsyncWriterBufs(bf *BlockFile, base int, q *ioSession, b0, b1 []seq.Record) *asyncWriter {
-	if cap(b0)%bf.b != 0 || cap(b0) == 0 || cap(b1) != cap(b0) {
+// newAsyncWriter appends to [base, …) of bf through flush buffers
+// carved from buf: q.writeBufs() equal buffers of len(buf)/q.writeBufs()
+// records each, a positive whole number of blocks. The merge workers
+// carve buf from their reusable arenas.
+func newAsyncWriter(bf *BlockFile, base int, q *ioSession, buf []seq.Record) *asyncWriter {
+	n := len(buf) / q.writeBufs()
+	if n == 0 || n%bf.b != 0 || len(buf) != n*q.writeBufs() {
 		panic("extmem: asyncWriter buffers must be equal positive whole numbers of blocks")
 	}
-	w := &asyncWriter{bf: bf, base: base, q: q, bufs: [2][]seq.Record{b0[:0], b1[:0]}}
-	w.buf = w.bufs[0][:0]
+	w := &asyncWriter{bf: bf, base: base, q: q}
+	w.bufs[0] = buf[:0:n]
+	w.bufs[1] = buf[len(buf)-n : len(buf)-n : len(buf)] // = bufs[0] when inline
+	w.buf = w.bufs[0]
 	return w
 }
 
@@ -542,19 +554,24 @@ func (w *asyncWriter) add(r seq.Record) error {
 	return nil
 }
 
-// flush hands the filled buffer to the IO session and switches to the other
-// buffer, first joining that buffer's previous write.
+// flush writes the filled buffer: inline on an inline session, else by
+// handing it to the queue and switching to the other buffer, first
+// joining that buffer's previous write.
 func (w *asyncWriter) flush() error {
 	if len(w.buf) == 0 {
 		return nil
+	}
+	off, buf := w.base+w.off, w.buf
+	w.off += len(buf)
+	if !w.q.async() {
+		w.buf = buf[:0]
+		return w.bf.WriteAt(off, buf)
 	}
 	if err := w.join(); err != nil {
 		return err
 	}
 	ch := make(chan ioResult, 1)
 	w.pend = ch
-	off, buf := w.base+w.off, w.buf
-	w.off += len(w.buf)
 	w.q.submit(&ioOp{bf: w.bf, off: off, src: buf, ch: ch})
 	w.curi ^= 1
 	w.buf = w.bufs[w.curi][:0]
@@ -578,6 +595,3 @@ func (w *asyncWriter) close() error {
 	}
 	return w.join()
 }
-
-// written returns how many records have been flushed plus buffered.
-func (w *asyncWriter) written() int { return w.off + len(w.buf) }

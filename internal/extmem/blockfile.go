@@ -254,49 +254,6 @@ func ReadRecordsFile(path string) ([]seq.Record, error) {
 	return out, nil
 }
 
-// runWriter appends records to a destination region [base, …) of a
-// BlockFile through a block-multiple buffer, so every flush is
-// block-aligned and a region of n records costs exactly ⌈n/B⌉ block
-// writes — the same accounting as the simulator's store-block flushes.
-type runWriter struct {
-	bf   *BlockFile
-	base int // absolute record offset of the region start
-	off  int // records flushed so far
-	buf  []seq.Record
-}
-
-// newRunWriter adopts buf (empty, capacity a whole number of blocks —
-// the engine carves it from its arena) as the flush buffer.
-func newRunWriter(bf *BlockFile, base int, buf []seq.Record) *runWriter {
-	if cap(buf)%bf.b != 0 || cap(buf) == 0 {
-		panic("extmem: runWriter buffer must be a positive whole number of blocks")
-	}
-	return &runWriter{bf: bf, base: base, buf: buf[:0]}
-}
-
-func (w *runWriter) add(r seq.Record) error {
-	w.buf = append(w.buf, r)
-	if len(w.buf) == cap(w.buf) {
-		return w.flush()
-	}
-	return nil
-}
-
-func (w *runWriter) flush() error {
-	if len(w.buf) == 0 {
-		return nil
-	}
-	if err := w.bf.WriteAt(w.base+w.off, w.buf); err != nil {
-		return err
-	}
-	w.off += len(w.buf)
-	w.buf = w.buf[:0]
-	return nil
-}
-
-// written returns how many records have been flushed plus buffered.
-func (w *runWriter) written() int { return w.off + len(w.buf) }
-
 // recStream is the record source the loser tree merges: a positioned
 // cursor over one sorted run (or a sub-range of one). runReader is the
 // synchronous implementation; prefetchReader (aio.go) overlaps the next

@@ -18,21 +18,23 @@
 //     smallest records above the previous pass's watermark in a bounded
 //     max-heap, sorting the retained set in parallel with
 //     rt.SortRecords on the rt native pool, and writing it out once.
-//     On a parallel pool (Config.Procs > 1) formation is a three-stage
-//     read→sort→write pipeline across the leaves, so the device and
-//     the cores stay busy simultaneously.
+//     One pass loop serves every worker count: on one worker it sorts
+//     and writes each set inline; on a parallel pool (Config.Procs > 1)
+//     it feeds a three-stage read→sort→write pipeline across the
+//     leaves, so the device and the cores stay busy simultaneously.
 //   - K-way merge (losertree.go, merge.go, parmerge.go): each internal
-//     node of the tree merges its children's runs through a loser-tree
-//     selector with per-run block prefetch buffers and a buffered
-//     block writer. On a parallel pool the node is cut into P disjoint
-//     key ranges by exact splitter cuts over the runs' in-memory block
-//     indexes, and each pool worker merges its range through a private
-//     loser tree into a private output extent; the sub-block fragments
-//     at extent boundaries are stitched by the coordinator so no device
-//     block is ever written twice.
-//   - Async IO (aio.go): a small pool of IO worker goroutines under
-//     BlockFile issues the merge readers' prefetches and the writers'
-//     write-behind flushes, overlapping block transfer with compute.
+//     node of the tree merges its children's runs through loser-tree
+//     selectors with per-run block refill buffers and a buffered block
+//     writer. The node is cut into P disjoint key ranges by exact
+//     splitter cuts over the runs' in-memory block indexes — one whole
+//     range on one worker — and each pool worker merges its range
+//     through a private loser tree into a private output extent; the
+//     sub-block fragments at interior extent boundaries are stitched by
+//     the coordinator so no device block is ever written twice.
+//   - Async IO (aio.go): on a parallel pool, a small pool of IO worker
+//     goroutines under BlockFile issues the merge readers' prefetches
+//     and the writers' write-behind flushes, overlapping block transfer
+//     with compute; a one-worker engine's writers call WriteAt inline.
 //     Pending transfers over adjacent extents of the same file in the
 //     same direction coalesce into single vectored preadv/pwritev
 //     syscalls (vectored_linux.go). The async façades issue exactly
@@ -161,21 +163,21 @@ func (s *IOStats) Snapshot() cost.Snapshot {
 type Config struct {
 	// Mem is the primary-memory budget in records (the model's M). It is
 	// rounded down to a multiple of Block and must leave at least one
-	// block. On a one-worker pool the engine's record buffers all live
-	// in one M-record arena: run formation uses it as the candidate
-	// set, and each merge carves it into the per-run prefetch buffers
-	// plus the write buffer, so resident record storage stays at M
-	// throughout. Outside the budget ride only what the simulator's
-	// slackBlocks also grants — O(fan-in) metadata, a streaming read
-	// chunk, the bounded encode/decode scratch pool. A parallel engine
-	// (Procs > 1) runs the paper's P-processor machine (§3), where
-	// every processor owns a private memory of size M: the formation
-	// pipeline circulates two M-record candidate buffers plus the
+	// block. The engine runs the paper's P-processor machine (§3), where
+	// every processor owns a private memory of size M: each worker's
+	// record buffers live in one M-record arena, which run formation
+	// uses as a candidate set and each merge carves into the per-run
+	// refill buffers plus the write buffer. A one-worker engine (P=1)
+	// therefore keeps its resident record storage at M throughout;
+	// outside the budget ride only what the simulator's slackBlocks
+	// also grants — O(fan-in) metadata, a streaming read chunk, the
+	// bounded encode/decode scratch pool. On a parallel engine the
+	// formation pipeline circulates two candidate buffers plus the
 	// transient rt.SortRecords merge scratch, each of the P merge
-	// workers carves a full M/(f+1)-per-run share of reader and writer
-	// buffers (aggregate merge residency ≤ P·M), and each run keeps a
-	// one-record-per-block cut index in memory for the parent's
-	// splitter search.
+	// workers carves a full M/(f+1)-per-run share (aggregate merge
+	// residency ≤ P·M, plus a second write-behind buffer per worker),
+	// and each run keeps a one-record-per-block cut index in memory for
+	// the parent's splitter search.
 	Mem int
 	// Block is the device block/page size in records (the model's B).
 	Block int
@@ -198,11 +200,11 @@ type Config struct {
 	TmpDir string
 	// Procs is the engine's worker count (0 = GOMAXPROCS): the pool
 	// width of the in-memory run sorts, the formation pipeline, the
-	// splitter-partitioned parallel merge, and the async IO layer.
-	// Procs == 1 selects the strictly sequential engine — one
-	// goroutine, one M-record arena — whose wall-clock is the baseline
-	// the parallel speedup is measured against. Any Procs produces the
-	// identical output file and the identical block-write ledger.
+	// splitter-partitioned merge, and the async IO layer. Procs == 1 is
+	// the same engine's one-worker case — one goroutine, one M-record
+	// arena, inline IO — whose wall-clock is the baseline the parallel
+	// speedup is measured against. Any Procs produces the identical
+	// output file and the identical block-write ledger.
 	Procs int
 	// Pool, when non-nil, supplies the engine's worker pool instead of a
 	// fresh rt.NewPool(Procs): the serve broker lends each job a
@@ -215,7 +217,7 @@ type Config struct {
 	// (NewIOQueue) instead of a per-engine one. The engine drains its
 	// own in-flight transfers before removing its spill files but never
 	// closes a shared queue — the owner (the serve broker) does. Ignored
-	// by the sequential engine, which issues no async IO.
+	// by a one-worker engine, whose transfers all run inline.
 	IOQ *IOQueue
 	// Lease, when non-nil, lets an external budget broker resize the
 	// running job's memory between merge levels and cancel it — see the
@@ -229,7 +231,8 @@ type Config struct {
 	// is unchanged, but the root level writes only the emitted records,
 	// and Report.PlanWrites is adjusted to the emitted output size so
 	// the measured-equals-planned identity still holds. The root's
-	// merge runs sequentially when Post is set. Nil leaves the sort
+	// merge runs as one range (one worker) when Post is set; formation
+	// and the lower levels keep their full width. Nil leaves the sort
 	// path byte-identical.
 	Post Streamer
 	// Span, when non-nil, is the parent trace span the engine hangs its
@@ -391,8 +394,8 @@ type Report struct {
 	PlanWrites uint64
 	// Omega echoes the configured device ratio for cost reporting.
 	Omega float64
-	// Procs is the engine's resolved worker count (1 = the sequential
-	// engine).
+	// Procs is the engine's resolved worker count (1 = the one-worker
+	// engine, the speedup baseline).
 	Procs int
 	// FormTime and MergeTime split the wall clock between the two
 	// stages.

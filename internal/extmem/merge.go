@@ -10,13 +10,15 @@ import (
 )
 
 // engine executes one plan in two phases: run formation over every
-// leaf, then the merge levels bottom-up. On a one-worker pool both
-// phases are strictly sequential on the calling goroutine — the
-// baseline "sequential engine". On a parallel pool formation becomes a
-// read→sort→write pipeline (runform.go), each merge node fans out over
-// worker-private key ranges (parmerge.go), and IO overlaps compute
-// through the ioq layer (aio.go); the block-write ledger is identical
-// in either mode.
+// leaf, then the merge levels bottom-up. Every stage has one
+// implementation whose one-worker case is P=1: formation is one pass
+// loop that sorts and stores inline on one worker and feeds a
+// read→sort→write pipeline on more (runform.go); every merge node runs
+// through the range merge, over one range on one worker and over P
+// splitter-cut ranges on more (parmerge.go); and every block write goes
+// through the asyncWriter, which writes behind on a queued ioSession
+// and inline on the one-worker engine's queueless one (aio.go). The
+// block-write ledger is identical at every width.
 type engine struct {
 	cfg     resolved
 	plan    *Plan
@@ -24,24 +26,37 @@ type engine struct {
 	in      *BlockFile
 	out     *BlockFile
 	spill   [2]*BlockFile // ping-pong by level parity; created lazily
-	formBuf []seq.Record  // M records, reused by every leaf and merge
 	readBuf []seq.Record  // streaming chunk for selection passes
-	ioq     *ioSession    // nil on the sequential engine
+	// ioq is the engine's IO session: queued on a parallel engine (the
+	// shared Config.IOQ or a private queue), queueless — every transfer
+	// inline — on a one-worker engine.
+	ioq *ioSession
 	// levelMem is the memory grant the current phase's buffers carve
 	// from: the admission-time budget, or — when a Lease is wired — the
 	// broker's current grant, re-read at every merge-level boundary. It
 	// never alters the plan, only the buffer carve, so the write ledger
 	// is grant-trajectory-independent.
 	levelMem int
-	// parArena holds one reusable buffer arena per parallel merge
-	// worker (grown lazily, reused across nodes), so every node's
-	// readers and write-behind buffers carve instead of allocating.
-	parArena [][]seq.Record
-	report   *Report
+	// arenas holds one reusable record arena per worker (grown lazily,
+	// reused across phases and nodes): formation draws its candidate
+	// buffers from arenas 0 and 1, and each merge worker carves its
+	// readers and write buffers from its own, so a one-worker engine's
+	// record storage is the single arena 0.
+	arenas [][]seq.Record
+	report *Report
 	// formSpan is the live formation-phase trace span while run
 	// formation executes; selection passes hang their per-pass child
 	// spans under it. Nil (no tracing) is fine — spans are nil-safe.
 	formSpan *obs.Span
+}
+
+// arena returns worker i's record arena, grown to at least need
+// records.
+func (e *engine) arena(i, need int) []seq.Record {
+	if len(e.arenas[i]) < need {
+		e.arenas[i] = make([]seq.Record, need)
+	}
+	return e.arenas[i]
 }
 
 // grantMem returns the grant the next phase's buffers carve from:
@@ -124,7 +139,7 @@ func Sort(cfg Config, inPath, outPath string) (*Report, error) {
 		LevelIO:    make([]cost.Snapshot, e.plan.Levels()+1),
 		PlanWrites: e.plan.TotalWrites(),
 	}
-	e.formBuf = make([]seq.Record, r.mem)
+	e.arenas = make([][]seq.Record, r.procs)
 	e.levelMem = r.mem
 	chunk := formChunk
 	if chunk < r.block {
@@ -141,15 +156,15 @@ func Sort(cfg Config, inPath, outPath string) (*Report, error) {
 			}
 		}
 	}()
+	e.ioq = &ioSession{}
 	if r.procs > 1 {
-		q := r.ioq
-		if q == nil {
-			q = NewIOQueue(r.procs)
-			defer q.Close()
+		e.ioq.q = r.ioq
+		if e.ioq.q == nil {
+			e.ioq.q = NewIOQueue(r.procs)
+			defer e.ioq.q.Close()
 		}
-		e.ioq = &ioSession{q: q}
-		defer e.ioq.drain()
 	}
+	defer e.ioq.drain()
 	if err := e.run(); err != nil {
 		return nil, err
 	}
@@ -171,24 +186,19 @@ func Sort(cfg Config, inPath, outPath string) (*Report, error) {
 func (e *engine) run() error {
 	e.reportProgress(0)
 	leaves, byLevel := e.plan.phases()
-	if e.cfg.post != nil && e.plan.Levels() == 0 {
-		// Single-run plan: the root is a leaf, so formation and the
-		// post-pass fuse (stream.go).
+	if len(leaves) > 0 || e.cfg.post != nil {
 		base := e.stats.Snapshot()
 		e.formSpan = e.cfg.span.Child("form")
 		start := time.Now()
-		err := e.formRootStreamed(e.plan.root)
-		e.report.FormTime += time.Since(start)
-		e.addLevel(0, base)
-		e.formSpan.Set(obs.Attr{Key: "post", Val: 1})
-		e.endFormSpan(base)
-		return err
-	}
-	if len(leaves) > 0 {
-		base := e.stats.Snapshot()
-		e.formSpan = e.cfg.span.Child("form")
-		start := time.Now()
-		err := e.formLeaves(leaves)
+		var err error
+		if e.cfg.post != nil && e.plan.Levels() == 0 {
+			// Single-run plan: the root is a leaf, so formation and the
+			// post-pass fuse (stream.go).
+			err = e.formRootStreamed(leaves)
+			e.formSpan.Set(obs.Attr{Key: "post", Val: 1})
+		} else {
+			err = e.formLeaves(leaves)
+		}
 		e.report.FormTime += time.Since(start)
 		e.addLevel(0, base)
 		e.endFormSpan(base)
@@ -259,7 +269,7 @@ func (e *engine) mergeLevel(lvl int, nodes []*planNode) (err error) {
 		if err := e.canceled(); err != nil {
 			return err
 		}
-		if err := e.mergeNode(nd); err != nil {
+		if err := e.mergeNode(nd, e.mergeProcs(nd)); err != nil {
 			return err
 		}
 		// The children's block indexes were consumed by this merge.
@@ -311,123 +321,4 @@ func (e *engine) captureIndex(nd *planNode) bool {
 // newIndex allocates nd's block index (see planNode.index).
 func newIndex(nd *planNode, block int) []seq.Record {
 	return make([]seq.Record, (nd.len()+block-1)/block)
-}
-
-// mergeNode merges the node's children — their outputs live in the
-// parity-(level-1) spill file (or, for leaf children, were formed
-// there) — into the node's own destination. Nodes big enough to carry
-// the coordination cost merge on all pool workers (parmerge.go);
-// everything else runs the sequential single-tree merge below.
-func (e *engine) mergeNode(nd *planNode) error {
-	if p := e.parMergeProcs(nd); p > 1 {
-		return e.mergeNodePar(nd, p)
-	}
-	return e.mergeNodeSeq(nd)
-}
-
-// mergeNodeSeq is the sequential merge: one loser tree over all
-// children, one block-aligned writer. The memory budget M splits
-// evenly across the fan-in's prefetch buffers plus one write buffer;
-// with the canonical fan-in kM/B the per-run buffer is ≈B/k records,
-// so each device block is fetched ≈k times per level, which is exactly
-// the read amplification AEM-MERGESORT trades for its shallower tree.
-func (e *engine) mergeNodeSeq(nd *planNode) error {
-	f := len(nd.kids)
-	// Carve the prefetch and write buffers out of the formation arena —
-	// formation and merging never overlap in the phased execution, so
-	// the engine's resident record buffers stay at one M throughout
-	// (one levelMem, when a lease resized the grant). The write buffer
-	// takes whole blocks; degenerate configs whose f+1 shares round
-	// below one record (or one block) fall back to a slightly larger
-	// scratch allocation, the same small slack the simulator grants.
-	c := e.levelMem / (f + 1)
-	if c < 1 {
-		c = 1
-	}
-	wLen := c - c%e.cfg.block
-	if wLen < e.cfg.block {
-		wLen = e.cfg.block
-	}
-	arena := e.formBuf
-	if need := f*c + wLen; need > len(arena) {
-		// Degenerate carves — and, routinely, a lease grown past the
-		// admission-time M — need a larger arena; keep it so every
-		// node of the level reuses one allocation.
-		arena = make([]seq.Record, need)
-		e.formBuf = arena
-	}
-	rdrs := make([]recStream, f)
-	for i, kid := range nd.kids {
-		src, err := e.dst(kid)
-		if err != nil {
-			return err
-		}
-		lo := i * c
-		rdrs[i] = newRunReader(src, kid.lo, kid.hi, arena[lo:lo+c:lo+c])
-	}
-	lt, err := newLoserTree(rdrs)
-	if err != nil {
-		return err
-	}
-	dst, err := e.dst(nd)
-	if err != nil {
-		return err
-	}
-	var idx []seq.Record
-	if e.captureIndex(nd) {
-		idx = newIndex(nd, e.cfg.block)
-	}
-	w := newRunWriter(dst, nd.lo, arena[f*c:f*c+wLen:f*c+wLen])
-	// The root of a streamed run folds the merged stream through the
-	// post-pass hook; emitted records flow into the same block-aligned
-	// writer, so the root level costs ⌈emitted/B⌉ block writes.
-	var post Streamer
-	if nd == e.plan.root {
-		post = e.cfg.post
-	}
-	pos := nd.lo
-	for {
-		rec, ok, err := lt.pop()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if (pos-nd.lo)%e.cfg.block == 0 {
-			if err := e.canceled(); err != nil {
-				return err
-			}
-			if idx != nil {
-				idx[(pos-nd.lo)/e.cfg.block] = rec
-			}
-		}
-		pos++
-		if post != nil {
-			err = post.Push(rec, w.add)
-		} else {
-			err = w.add(rec)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if post != nil {
-		if err := post.Flush(w.add); err != nil {
-			return err
-		}
-	}
-	if err := w.flush(); err != nil {
-		return err
-	}
-	if pos != nd.hi {
-		return fmt.Errorf("extmem: merge of [%d,%d) consumed %d records, want %d",
-			nd.lo, nd.hi, pos-nd.lo, nd.len())
-	}
-	if post == nil && w.written() != nd.len() {
-		return fmt.Errorf("extmem: merge of [%d,%d) produced %d records, want %d",
-			nd.lo, nd.hi, w.written(), nd.len())
-	}
-	nd.index = idx
-	return nil
 }

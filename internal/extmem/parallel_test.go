@@ -216,7 +216,8 @@ func TestPrefetchReaderMatchesRunReader(t *testing.T) {
 				return out
 			}
 			want := drain(newRunReader(sbf, span[0], span[1], make([]seq.Record, bufRecs)))
-			got := drain(newPrefetchReader(pbf, span[0], span[1], q, bufRecs))
+			got := drain(newPrefetchReader(pbf, span[0], span[1], q,
+				make([]seq.Record, bufRecs), make([]seq.Record, bufRecs)))
 			if len(got) != len(want) {
 				t.Fatalf("buf=%d span=%v: %d records, want %d", bufRecs, span, len(got), len(want))
 			}
@@ -234,55 +235,45 @@ func TestPrefetchReaderMatchesRunReader(t *testing.T) {
 	}
 }
 
-// TestAsyncWriterMatchesRunWriter drives write-behind and the
-// synchronous writer over the same record stream: same file bytes,
-// same charged write ledger.
-func TestAsyncWriterMatchesRunWriter(t *testing.T) {
+// TestAsyncWriterMatchesInlineSession drives the block writer over the
+// same record stream on a queued session (write-behind, two buffers)
+// and on the one-worker engine's queueless session (direct WriteAt,
+// one aliased buffer): same file bytes, same charged write ledger.
+func TestAsyncWriterMatchesInlineSession(t *testing.T) {
 	recs := seq.Uniform(777, 9)
 	dir := t.TempDir()
-	q := &ioSession{q: NewIOQueue(2)}
-	defer q.q.Close()
+	queued := &ioSession{q: NewIOQueue(2)}
+	defer queued.q.Close()
+	inline := &ioSession{}
 	for _, bufBlocks := range []int{1, 2, 7} {
 		for _, base := range []int{0, 16, 160} {
-			write := func(path string, async bool) (costW uint64) {
+			write := func(path string, q *ioSession) (costW uint64) {
 				var stats IOStats
 				bf, err := CreateBlockFile(path, 16, &stats)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer bf.Close()
-				if async {
-					w := newAsyncWriter(bf, base, q, bufBlocks*16)
-					for _, r := range recs {
-						if err := w.add(r); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := w.close(); err != nil {
+				w := newAsyncWriter(bf, base, q, make([]seq.Record, q.writeBufs()*bufBlocks*16))
+				for _, r := range recs {
+					if err := w.add(r); err != nil {
 						t.Fatal(err)
 					}
-					if w.written() != len(recs) {
-						t.Fatalf("asyncWriter wrote %d, want %d", w.written(), len(recs))
-					}
-				} else {
-					w := newRunWriter(bf, base, make([]seq.Record, 0, bufBlocks*16))
-					for _, r := range recs {
-						if err := w.add(r); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := w.flush(); err != nil {
-						t.Fatal(err)
-					}
+				}
+				if err := w.close(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := bf.Len(), base+len(recs); got != want {
+					t.Fatalf("file holds %d records, want %d", got, want)
 				}
 				return stats.Snapshot().Writes
 			}
 			sPath := filepath.Join(dir, fmt.Sprintf("s-%d-%d.bin", bufBlocks, base))
 			aPath := filepath.Join(dir, fmt.Sprintf("a-%d-%d.bin", bufBlocks, base))
-			sw := write(sPath, false)
-			aw := write(aPath, true)
+			sw := write(sPath, inline)
+			aw := write(aPath, queued)
 			if sw != aw {
-				t.Fatalf("buf=%d base=%d: async charged %d writes, sync %d", bufBlocks, base, aw, sw)
+				t.Fatalf("buf=%d base=%d: queued charged %d writes, inline %d", bufBlocks, base, aw, sw)
 			}
 			want, err := ReadRecordsFile(sPath)
 			if err != nil {
@@ -297,7 +288,7 @@ func TestAsyncWriterMatchesRunWriter(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("buf=%d base=%d: byte %d differs", bufBlocks, base, i)
+					t.Fatalf("buf=%d base=%d: record %d differs", bufBlocks, base, i)
 				}
 			}
 		}

@@ -8,42 +8,45 @@ import (
 	"asymsort/internal/seq"
 )
 
-// This file is the multi-core merge: one plan node's k-way merge cut
-// into P disjoint key ranges, one per pool worker. Splitter records
-// are sampled from the children's in-memory block indexes, each run is
-// cut at the exact lower bound of every splitter (binary search over
-// the block index, then inside the one straddling block, read once),
-// and each worker merges its own sub-ranges through a private loser
-// tree with prefetching readers into a private output extent — workers
-// never share a device block. Because every run cut is exact, worker
-// i's extent is precisely the output ranks [T[i], T[i+1]) and the
-// concatenated extents equal the sequential merge's output
-// byte-for-byte (ties still break by run index inside each worker, and
-// records equal under seq.TotalLess never straddle a splitter).
+// This file is the engine's one merge: a plan node's k-way merge cut
+// into P disjoint key ranges, one per pool worker — a single range on a
+// one-worker engine. Splitter records are sampled from the children's
+// in-memory block indexes, each run is cut at the exact lower bound of
+// every splitter (binary search over the block index, then inside the
+// one straddling block, read once), and each worker merges its own
+// sub-ranges through a private loser tree into a private output extent
+// — workers never share a device block. Because every run cut is
+// exact, worker i's extent is precisely the output ranks
+// [T[i], T[i+1]) and the concatenated extents equal the one-range
+// merge's output byte-for-byte (ties still break by run index inside
+// each worker, and records equal under seq.TotalLess never straddle a
+// splitter). At P=1 there are no splitters, no probes, and no sample
+// sort: the one range is every run whole.
 //
 // The write ledger is preserved exactly: workers write only whole
-// aligned blocks inside their extents, while the ≤B-record fragments
-// at each extent boundary are kept in memory and stitched into their
-// shared device block by the coordinator after the join — one WriteAt
-// per block, so the node still costs ⌈len/B⌉ block writes, the same as
-// the sequential runWriter and the simulated AEM ledger. Reads gain
-// only the splitter probes (at most P-1 block reads per run) plus the
-// blocks straddling the per-run cut points and halved read-ahead
-// spans; the refill span itself stays at the sequential carve, because
-// every worker owns a full private M — the paper's P-processor
-// parallel machine (§3).
+// aligned blocks inside their extents — the worker whose extent ends
+// the node also writes the ragged last block — while the ≤B-record
+// fragments at each interior extent boundary are kept in memory and
+// stitched into their shared device block by the coordinator after the
+// join — one WriteAt per block, so the node still costs ⌈len/B⌉ block
+// writes, the same as the simulated AEM ledger. Reads gain only the
+// splitter probes (at most P-1 block reads per run) plus the blocks
+// straddling the per-run cut points and halved read-ahead spans; the
+// refill span itself stays at the one-worker carve, because every
+// worker owns a full private M — the paper's P-processor parallel
+// machine (§3).
 
-// parMergeProcs returns how many workers a node's merge fans out over:
+// mergeProcs returns how many workers a node's merge fans out over:
 // the pool width, clamped so every worker averages at least two output
-// blocks; 1 means the sequential merge.
-func (e *engine) parMergeProcs(nd *planNode) int {
+// blocks.
+func (e *engine) mergeProcs(nd *planNode) int {
 	p := e.cfg.procs
 	if p <= 1 || len(nd.kids) < 2 {
 		return 1
 	}
 	if nd == e.plan.root && e.cfg.post != nil {
 		// A streamed root is a stateful fold over the whole sorted
-		// stream; the splitter-partitioned extents cannot host it.
+		// stream; only a single range can host it.
 		return 1
 	}
 	if m := nd.len() / (2 * e.cfg.block); p > m {
@@ -60,101 +63,49 @@ func (e *engine) parMergeProcs(nd *planNode) int {
 	return p
 }
 
-// parOut is one merge worker's result: the record count it produced
-// plus the boundary fragments it held back for stitching.
+// parOut is one merge worker's result: the boundary fragments it held
+// back for stitching.
 type parOut struct {
 	headPos int
 	head    []seq.Record
 	tailPos int
 	tail    []seq.Record
-	err     error
 }
 
-// mergeNodePar merges nd's children on P workers.
-func (e *engine) mergeNodePar(nd *planNode, P int) error {
+// mergeNode merges nd's children — their outputs live in the
+// parity-(level-1) spill file (or, for leaf children, were formed
+// there) — into the node's own destination on P workers.
+func (e *engine) mergeNode(nd *planNode, P int) error {
 	f := len(nd.kids)
 	B := e.cfg.block
-	srcs := make([]*BlockFile, f)
-	for i, kid := range nd.kids {
-		src, err := e.dst(kid)
-		if err != nil {
-			return err
-		}
-		srcs[i] = src
+	// Every child sits one level below nd, so all of them live in the
+	// same spill file (see engine.dst).
+	src, err := e.dst(nd.kids[0])
+	if err != nil {
+		return err
 	}
 	dst, err := e.dst(nd)
 	if err != nil {
 		return err
 	}
-
-	// Splitters: P-1 quantiles of the children's pooled block-first
-	// records — free of IO, and within one block of the exact record
-	// quantiles per run, which is all the load balance needs.
-	sample := make([]seq.Record, 0, (nd.len()+B-1)/B)
-	for _, kid := range nd.kids {
-		sample = append(sample, kid.index...)
-	}
-	rt.SortRecords(e.cfg.pool, sample)
-	splitters := Splitters(sample, P)
-
-	// Exact cuts: cuts[r][i] is the first position of run r (relative
-	// to the run) whose record is ≥ splitter i-1, so worker i consumes
-	// [cuts[r][i], cuts[r][i+1]) of every run r.
-	cuts := make([][]int, f)
-	probe := make([]seq.Record, B)
-	for r, kid := range nd.kids {
-		cr := make([]int, P+1)
-		cr[P] = kid.len()
-		idx := kid.index
-		cachedBlk := -1
-		var cached []seq.Record
-		for i, t := range splitters {
-			jb := sort.Search(len(idx), func(j int) bool { return !seq.TotalLess(idx[j], t) })
-			if jb == 0 {
-				continue // cr[i+1] = 0: the whole run is ≥ t
-			}
-			// The exact lower bound lives in block jb-1 — the last block
-			// whose first record is < t. One charged block read locates
-			// it; consecutive splitters reuse the cached block.
-			blk := jb - 1
-			if blk != cachedBlk {
-				blo := kid.lo + blk*B
-				bhi := min(blo+B, kid.hi)
-				cached = probe[:bhi-blo]
-				if err := srcs[r].ReadAt(blo, cached); err != nil {
-					return err
-				}
-				cachedBlk = blk
-			}
-			in := sort.Search(len(cached), func(x int) bool { return !seq.TotalLess(cached[x], t) })
-			cr[i+1] = blk*B + in
-		}
-		cuts[r] = cr
+	cuts, T, err := e.cutRuns(nd, src, P)
+	if err != nil {
+		return err
 	}
 
-	// Output extents: worker i writes ranks [T[i], T[i+1]).
-	T := make([]int, P+1)
-	T[0] = nd.lo
-	for i := 1; i <= P; i++ {
-		s := 0
-		for r := range cuts {
-			s += cuts[r][i] - cuts[r][i-1]
-		}
-		T[i] = T[i-1] + s
-	}
-	if T[P] != nd.hi {
-		return fmt.Errorf("extmem: internal: merge cuts of [%d,%d) cover %d records, want %d",
-			nd.lo, nd.hi, T[P]-nd.lo, nd.len())
-	}
-
-	// Per-worker buffer carve: each worker gets the full sequential
-	// carve M/(f+1) — the paper's parallel machine (§3) grants every
-	// one of the P processors a private memory of size M, so the
+	// Per-worker buffer carve: M splits evenly across the fan-in's
+	// refill buffers plus the write buffer. With the canonical fan-in
+	// kM/B the per-run buffer is ≈B/k records, so each device block is
+	// fetched ≈k times per level — exactly the read amplification
+	// AEM-MERGESORT trades for its shallower tree. Every worker gets
+	// the full carve M/(f+1): the paper's parallel machine (§3) grants
+	// each of the P processors a private memory of size M, so the
 	// engine's aggregate merge residency of ≤ P·M realizes exactly
-	// that machine (P·levelMem when a lease resized the grant).
-	// Keeping the per-run refill span at the sequential size also
-	// keeps the read amplification at the sequential ≈k× instead of
-	// multiplying it by P.
+	// that machine (P·levelMem when a lease resized the grant), and the
+	// read amplification stays at ≈k× instead of growing with P. The
+	// write buffer takes whole blocks; degenerate configs whose f+1
+	// shares round below one record (or one block) grow the arena
+	// slightly, the same small slack the simulator grants.
 	c := e.levelMem / (f + 1)
 	if c < 1 {
 		c = 1
@@ -169,29 +120,22 @@ func (e *engine) mergeNodePar(nd *planNode, P int) error {
 		idx = newIndex(nd, B)
 	}
 	// Per-worker arenas: f run-reader shares of c records (a prefetching
-	// reader splits its share into two halves) plus the write-behind
-	// double buffer — grown once, reused across every node.
-	if e.parArena == nil {
-		e.parArena = make([][]seq.Record, e.cfg.procs)
-	}
-	need := f*c + 2*wLen
-	for wi := 0; wi < P; wi++ {
-		if len(e.parArena[wi]) < need {
-			e.parArena[wi] = make([]seq.Record, need)
-		}
-	}
+	// reader splits its share into two halves) plus the writer's flush
+	// buffers — two to write behind, one to write inline.
+	need := f*c + e.ioq.writeBufs()*wLen
 	outs := make([]parOut, P)
+	errs := make([]error, P)
 	tasks := make([]func(), P)
 	for wi := 0; wi < P; wi++ {
-		wi := wi
+		wi, arena := wi, e.arena(wi, need)
 		tasks[wi] = func() {
-			outs[wi] = e.mergeRange(nd, srcs, cuts, wi, T, dst, idx, c, wLen, e.parArena[wi])
+			outs[wi], errs[wi] = e.mergeRange(nd, src, cuts, wi, T, dst, idx, c, wLen, arena)
 		}
 	}
 	e.cfg.pool.Run(tasks...)
-	for i := range outs {
-		if outs[i].err != nil {
-			return outs[i].err
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 
@@ -242,30 +186,34 @@ func (e *engine) mergeNodePar(nd *planNode, P int) error {
 
 // mergeRange is one worker's merge: its sub-range of every run through
 // a private loser tree into its private output extent [T[wi], T[wi+1]).
-// Whole aligned blocks stream through a write-behind writer; the
-// fragments sharing a boundary block with a neighbouring worker are
-// returned for stitching.
-func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, wi int, T []int, dst *BlockFile, idx []seq.Record, c, wLen int, arena []seq.Record) parOut {
+// Whole aligned blocks — and, for the extent that ends the node, the
+// ragged last block — stream through the block writer; the fragments
+// sharing a boundary block with a neighbouring worker are returned for
+// stitching. The one range of a streamed root folds its stream through
+// Config.Post on the way to the writer, so the root writes only the
+// emitted records.
+func (e *engine) mergeRange(nd *planNode, src *BlockFile, cuts []int, wi int, T []int, dst *BlockFile, idx []seq.Record, c, wLen int, arena []seq.Record) (parOut, error) {
 	B := e.cfg.block
 	lo, hi := T[wi], T[wi+1]
 	out := parOut{headPos: lo}
 	if lo == hi {
-		return out
+		return out, nil
 	}
-	rdrs := make([]recStream, 0, len(srcs))
-	for r, src := range srcs {
-		rlo := nd.kids[r].lo + cuts[r][wi]
-		rhi := nd.kids[r].lo + cuts[r][wi+1]
+	f := len(nd.kids)
+	rdrs := make([]recStream, 0, f)
+	for r, kid := range nd.kids {
+		rlo := kid.lo + cuts[r*len(T)+wi]
+		rhi := kid.lo + cuts[r*len(T)+wi+1]
 		share := arena[r*c : (r+1)*c : (r+1)*c]
 		if rlo == rhi {
-			continue // dropping empty sub-runs keeps relative run order, so ties break as sequentially
+			continue // dropping empty sub-runs keeps relative run order, so ties break as with one range
 		}
 		// Read-ahead pays only when the halved refill span still covers
 		// whole blocks; below that, tiny refills make the synchronous
 		// reader cheaper and keep the span (and the read ledger) at the
-		// sequential engine's size.
-		if e.ioq != nil && c >= 2*B {
-			rdrs = append(rdrs, newPrefetchReaderBufs(src, rlo, rhi, e.ioq,
+		// one-worker engine's size.
+		if e.ioq.async() && c >= 2*B {
+			rdrs = append(rdrs, newPrefetchReader(src, rlo, rhi, e.ioq,
 				share[:c/2], share[c/2:c/2*2]))
 		} else {
 			rdrs = append(rdrs, newRunReader(src, rlo, rhi, share))
@@ -273,30 +221,28 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, wi in
 	}
 	lt, err := newLoserTree(rdrs)
 	if err != nil {
-		out.err = err
-		return out
+		return out, err
 	}
-	headEnd := lo + (B-lo%B)%B // first aligned position: head = [lo, headEnd)
-	if headEnd > hi {
-		headEnd = hi
+	headEnd := min(lo+(B-lo%B)%B, hi) // first aligned position: head = [lo, headEnd)
+	bodyEnd := hi - hi%B              // aligned body = [headEnd, bodyEnd), tail = [bodyEnd, hi)
+	if hi == nd.hi {
+		bodyEnd = hi // the node's last block is this worker's alone
 	}
-	bodyEnd := hi - hi%B // aligned body = [headEnd, bodyEnd), tail = [bodyEnd, hi)
-	if bodyEnd < headEnd {
-		bodyEnd = headEnd
-	}
+	bodyEnd = max(bodyEnd, headEnd)
 	out.tailPos = bodyEnd
-	var w *asyncWriter
-	if bodyEnd > headEnd {
-		f := len(srcs)
-		w = newAsyncWriterBufs(dst, headEnd, e.ioq,
-			arena[f*c:f*c+wLen:f*c+wLen], arena[f*c+wLen:f*c+2*wLen:f*c+2*wLen])
+	w := newAsyncWriter(dst, headEnd, e.ioq, arena[f*c:f*c+e.ioq.writeBufs()*wLen])
+	emit := w.add
+	var post Streamer
+	if nd == e.plan.root {
+		post = e.cfg.post
 	}
-	pos := lo
+	// next is the body position of the next block boundary, where the
+	// worker polls for cancellation and records the block index entry.
+	pos, next := lo, headEnd
 	for {
 		rec, ok, err := lt.pop()
 		if err != nil {
-			out.err = err
-			return out
+			return out, err
 		}
 		if !ok {
 			break
@@ -305,33 +251,102 @@ func (e *engine) mergeRange(nd *planNode, srcs []*BlockFile, cuts [][]int, wi in
 		case pos < headEnd:
 			out.head = append(out.head, rec)
 		case pos < bodyEnd:
-			if (pos-nd.lo)%B == 0 {
+			if pos == next {
+				next += B
 				if err := e.canceled(); err != nil {
-					out.err = err
-					return out
+					return out, err
 				}
 				if idx != nil {
 					idx[(pos-nd.lo)/B] = rec
 				}
 			}
-			if err := w.add(rec); err != nil {
-				out.err = err
-				return out
+			if post != nil {
+				err = post.Push(rec, emit)
+			} else {
+				err = w.add(rec)
+			}
+			if err != nil {
+				return out, err
 			}
 		default:
 			out.tail = append(out.tail, rec)
 		}
 		pos++
 	}
-	if w != nil {
-		if err := w.close(); err != nil {
-			out.err = err
-			return out
-		}
-	}
 	if pos != hi {
-		out.err = fmt.Errorf("extmem: merge worker %d of [%d,%d) produced %d records, want %d",
+		return out, fmt.Errorf("extmem: merge worker %d of [%d,%d) produced %d records, want %d",
 			wi, lo, hi, pos-lo, hi-lo)
 	}
-	return out
+	if post != nil {
+		if err := post.Flush(emit); err != nil {
+			return out, err
+		}
+	}
+	return out, w.close()
+}
+
+// cutRuns splits nd's merge into P worker ranges. cuts holds P+1 cut
+// positions per run, row-major: cuts[r*(P+1)+i] is the first position
+// of run r (relative to the run) whose record is ≥ splitter i-1, so
+// worker i consumes [cuts[r*(P+1)+i], cuts[r*(P+1)+i+1]) of every run
+// r and writes output ranks [T[i], T[i+1]). At P=1 every run is one
+// whole range and no IO is issued.
+func (e *engine) cutRuns(nd *planNode, src *BlockFile, P int) (cuts, T []int, err error) {
+	B := e.cfg.block
+	// Splitters: P-1 quantiles of the children's pooled block-first
+	// records — free of IO, and within one block of the exact record
+	// quantiles per run, which is all the load balance needs.
+	var splitters, probe []seq.Record
+	if P > 1 {
+		sample := make([]seq.Record, 0, (nd.len()+B-1)/B)
+		for _, kid := range nd.kids {
+			sample = append(sample, kid.index...)
+		}
+		rt.SortRecords(e.cfg.pool, sample)
+		splitters = Splitters(sample, P)
+		probe = make([]seq.Record, B)
+	}
+	cuts = make([]int, len(nd.kids)*(P+1))
+	for r, kid := range nd.kids {
+		cr := cuts[r*(P+1) : (r+1)*(P+1)]
+		cr[P] = kid.len()
+		idx := kid.index
+		cachedBlk := -1
+		var cached []seq.Record
+		for i, t := range splitters {
+			jb := sort.Search(len(idx), func(j int) bool { return !seq.TotalLess(idx[j], t) })
+			if jb == 0 {
+				continue // cr[i+1] = 0: the whole run is ≥ t
+			}
+			// The exact lower bound lives in block jb-1 — the last block
+			// whose first record is < t. One charged block read locates
+			// it; consecutive splitters reuse the cached block.
+			blk := jb - 1
+			if blk != cachedBlk {
+				blo := kid.lo + blk*B
+				bhi := min(blo+B, kid.hi)
+				cached = probe[:bhi-blo]
+				if err := src.ReadAt(blo, cached); err != nil {
+					return nil, nil, err
+				}
+				cachedBlk = blk
+			}
+			in := sort.Search(len(cached), func(x int) bool { return !seq.TotalLess(cached[x], t) })
+			cr[i+1] = blk*B + in
+		}
+	}
+	T = make([]int, P+1)
+	T[0] = nd.lo
+	for i := 1; i <= P; i++ {
+		s := 0
+		for r := range nd.kids {
+			s += cuts[r*(P+1)+i] - cuts[r*(P+1)+i-1]
+		}
+		T[i] = T[i-1] + s
+	}
+	if T[P] != nd.hi {
+		return nil, nil, fmt.Errorf("extmem: internal: merge cuts of [%d,%d) cover %d records, want %d",
+			nd.lo, nd.hi, T[P]-nd.lo, nd.len())
+	}
+	return cuts, T, nil
 }

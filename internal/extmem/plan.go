@@ -1,17 +1,17 @@
 package extmem
 
-import "asymsort/internal/seq"
+import (
+	"asymsort/internal/core/aemsort"
+	"asymsort/internal/seq"
+)
 
-// This file plans the merge tree. The arithmetic is a deliberate mirror
-// of aemsort.mergeSortRec for the same (n, M, B, k): a node of n > kM
-// records partitions at block granularity into at most l = kM/B
-// subarrays of per = ⌈blocks/l⌉ blocks each; nodes of n ≤ kM records
-// are leaves (runs). Both sides write every node's output exactly once
-// through block-aligned buffers, so once the trees coincide the block
-// write ledgers coincide — per level, not just in total. The
-// integration tests in internal/integration assert this; any change to
-// the partition arithmetic here or in aemsort must keep the two in
-// lockstep.
+// This file plans the merge tree: AEM-MERGESORT's recursion for the
+// same (n, M, B, k), minus the sorting. A node of n > kM records is cut
+// by aemsort.Partition — the simulator's own split — into at most
+// l = kM/B children; nodes of n ≤ kM records are leaves (runs). Both
+// sides write every node's output exactly once through block-aligned
+// buffers, so the block-write ledgers coincide per level, not just in
+// total; internal/integration asserts it.
 
 // planNode is one node of the merge tree: a contiguous record range of
 // the input. Leaves are formed runs; internal nodes merge their
@@ -33,7 +33,7 @@ type planNode struct {
 	// cut this run into the workers' key ranges without touching the
 	// device, then frees it. It is O(len/B) metadata outside the record
 	// budget, the engine-side analogue of the simulator's slack blocks;
-	// the sequential engine never allocates it.
+	// a one-worker engine never allocates it.
 	index []seq.Record
 }
 
@@ -73,29 +73,19 @@ func NewPlan(n, mem, block, k, fanIn int) *Plan {
 	return p
 }
 
-// build mirrors aemsort.mergeSortRec's partition (minus the sorting).
+// build is aemsort.mergeSortRec's recursion over record ranges.
 func (p *Plan) build(lo, hi int) *planNode {
 	n := hi - lo
 	if n <= p.K*p.Mem {
 		p.runs++
 		return &planNode{lo: lo, hi: hi}
 	}
-	blocks := (n + p.Block - 1) / p.Block
-	per := (blocks + p.FanIn - 1) / p.FanIn
-	var kids []*planNode
-	for b0 := 0; b0 < blocks; b0 += per {
-		klo := lo + b0*p.Block
-		khi := lo + (b0+per)*p.Block
-		if khi > hi {
-			khi = hi
-		}
-		kids = append(kids, p.build(klo, khi))
-	}
-	if len(kids) == 1 {
-		// aemsort returns the lone run unmerged; the partition above
-		// cannot actually produce this (per < blocks whenever n > kM),
-		// but mirror the guard.
-		return kids[0]
+	// n > kM ≥ B spans two or more blocks, so with l ≥ 2 the cut
+	// always yields at least two children.
+	bounds := aemsort.Partition(n, p.Block, p.FanIn)
+	kids := make([]*planNode, len(bounds)-1)
+	for i := range kids {
+		kids[i] = p.build(lo+bounds[i], lo+bounds[i+1])
 	}
 	return &planNode{lo: lo, hi: hi, kids: kids}
 }

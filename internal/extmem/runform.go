@@ -19,18 +19,20 @@ import (
 // rt.SortRecords, and writes it out once. Reads multiply by up to k;
 // every record is written exactly once — the paper's trade.
 //
-// On a one-worker pool the leaves are formed strictly one after
-// another (formRunSeq). On a parallel pool formation is a three-stage
-// producer/consumer pipeline over all leaves: the calling goroutine
-// streams candidate sets out of the input file, a sort stage runs
-// rt.SortRecords on the pool, and a write-behind stage drains sorted
-// sets to the spill file — so the read of one pass, the sort of the
+// One pass loop (produceLeaves) owns every read of the phase and hands
+// each candidate set to a formSink. On a one-worker pool the sink sorts
+// and stores the set inline, reusing one M-record buffer. On a parallel
+// pool it feeds a three-stage pipeline: a sort stage runs
+// rt.SortRecords on the pool and a write-behind stage drains sorted
+// sets to the spill file, so the read of one pass, the sort of the
 // previous, and the write of the one before that overlap. Two M-record
 // candidate buffers circulate through the stages (the pipeline's
 // double buffer); the second buffer and the sort scratch are the
-// documented parallel-mode slack beyond the budget. The IO ledger is
-// unchanged: the same ReadAt/WriteAt spans are issued in the same
-// per-stage order, only overlapped in time.
+// documented parallel-mode slack beyond the budget. The streamed
+// single-leaf root runs the same loop with a sink that folds each
+// sorted set through Config.Post (stream.go). The IO ledger is the same
+// at every width: the same ReadAt/WriteAt spans are issued in the same
+// order, only overlapped in time.
 
 // formChunk is the streaming read granularity of a selection pass, in
 // records (clamped to a block minimum). Like the simulator's load
@@ -51,22 +53,8 @@ func endPass(sp *obs.Span, recs int) {
 	sp.End()
 }
 
-// formLeaves forms every leaf run of the plan, in plan order.
-func (e *engine) formLeaves(leaves []*planNode) error {
-	if e.cfg.procs == 1 {
-		for _, nd := range leaves {
-			if err := e.formRunSeq(nd); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return e.formLeavesPipelined(leaves)
-}
-
-// formBatch is one sorted-run write: the pipeline's unit of work. buf
-// is unsorted when it leaves the producer, sorted from the sort stage
-// on, and recycled into the free list after the write.
+// formBatch is one sorted-run write: the pass loop's unit of work. buf
+// is unsorted when it leaves the loop, sorted by the sink.
 type formBatch struct {
 	nd  *planNode
 	dst *BlockFile
@@ -74,17 +62,59 @@ type formBatch struct {
 	buf []seq.Record
 }
 
-// formLeavesPipelined runs the three-stage formation pipeline.
-func (e *engine) formLeavesPipelined(leaves []*planNode) error {
+// formSink receives the pass loop's candidate sets. take hands out an
+// empty buffer of capacity ≥ M; put sorts a filled one and stores it,
+// after which the buffer belongs to the sink again.
+type formSink struct {
+	take func() []seq.Record
+	put  func(formBatch) error
+}
+
+// inlineSink sorts each candidate set on the calling goroutine and
+// passes it to store, reusing worker 0's arena as the one candidate
+// buffer.
+func (e *engine) inlineSink(store func(formBatch) error) formSink {
+	buf := e.arena(0, e.cfg.mem)
+	return formSink{
+		take: func() []seq.Record { return buf[:0] },
+		put: func(b formBatch) error {
+			rt.SortRecords(e.cfg.pool, b.buf)
+			return store(b)
+		},
+	}
+}
+
+// store writes a sorted batch to its run and fills the run's block
+// index entries for the blocks that start inside the batch.
+func (e *engine) store(b formBatch) error {
+	if err := b.dst.WriteAt(b.off, b.buf); err != nil {
+		return err
+	}
+	if idx := b.nd.index; idx != nil {
+		blk := e.cfg.block
+		for j := (blk - (b.off-b.nd.lo)%blk) % blk; j < len(b.buf); j += blk {
+			idx[(b.off+j-b.nd.lo)/blk] = b.buf[j]
+		}
+	}
+	return nil
+}
+
+// formLeaves forms every leaf run of the plan, in plan order: inline
+// on a one-worker pool, through the sort and write-behind stages on a
+// parallel one.
+func (e *engine) formLeaves(leaves []*planNode) error {
+	if e.cfg.procs == 1 {
+		return e.produceLeaves(leaves, e.inlineSink(e.store))
+	}
 	var (
 		sortCh  = make(chan formBatch, 1)
 		writeCh = make(chan formBatch, 1)
 		free    = make(chan []seq.Record, 2)
-		wErr    = make(chan error, 1)
 		failed  atomic.Bool
+		werr    error // set by the write stage before failed
 	)
-	free <- e.formBuf
-	free <- make([]seq.Record, e.cfg.mem)
+	free <- e.arena(0, e.cfg.mem)[:0]
+	free <- e.arena(1, e.cfg.mem)[:0]
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -102,44 +132,43 @@ func (e *engine) formLeavesPipelined(leaves []*planNode) error {
 		defer wg.Done()
 		for b := range writeCh {
 			if !failed.Load() {
-				if err := b.dst.WriteAt(b.off, b.buf); err != nil {
+				if err := e.store(b); err != nil {
+					werr = err
 					failed.Store(true)
-					wErr <- err
-				} else if idx := b.nd.index; idx != nil {
-					blk := e.cfg.block
-					for j := (blk - (b.off-b.nd.lo)%blk) % blk; j < len(b.buf); j += blk {
-						idx[(b.off+j-b.nd.lo)/blk] = b.buf[j]
-					}
 				}
 			}
 			// Recycle the buffer even after a failure, so the producer
 			// can never block on an empty free list.
-			free <- b.buf[:cap(b.buf)]
+			free <- b.buf[:0]
 		}
 	}()
 
-	err := e.produceLeaves(leaves, sortCh, free, &failed)
+	err := e.produceLeaves(leaves, formSink{
+		take: func() []seq.Record { return <-free },
+		put: func(b formBatch) error {
+			if failed.Load() {
+				return werr
+			}
+			sortCh <- b
+			return nil
+		},
+	})
 	close(sortCh)
 	wg.Wait()
-	select {
-	case werr := <-wErr:
-		if err == nil {
-			err = werr
-		}
-	default:
+	if err == nil && failed.Load() {
+		err = werr
 	}
 	return err
 }
 
-// produceLeaves is the pipeline's first stage: it streams each leaf's
-// candidate sets out of the input file and hands them to the sort
-// stage. It owns all reads of the formation phase, so the read ledger
-// is charged in exactly the sequential engine's order.
-func (e *engine) produceLeaves(leaves []*planNode, sortCh chan<- formBatch, free chan []seq.Record, failed *atomic.Bool) error {
+// produceLeaves is the one formation pass loop: it streams each leaf's
+// candidate sets out of the input file — one read pass for a leaf that
+// fits the budget, Lemma 4.2 selection passes above a watermark
+// otherwise — and hands them to sink. It owns all reads of the
+// formation phase, so the read ledger is charged in the same order at
+// every width.
+func (e *engine) produceLeaves(leaves []*planNode, sink formSink) error {
 	for _, nd := range leaves {
-		if failed.Load() {
-			return nil // the write stage reports its own error
-		}
 		if err := e.canceled(); err != nil {
 			return err
 		}
@@ -159,94 +188,43 @@ func (e *engine) produceLeaves(leaves []*planNode, sortCh chan<- formBatch, free
 		// uniqueness requirement).
 		if n <= e.cfg.mem {
 			sp := e.passSpan(nd, nd.lo)
-			buf := (<-free)[:n]
+			buf := sink.take()[:n]
 			if err := e.in.ReadAt(nd.lo+e.cfg.inSkip, buf); err != nil {
-				free <- buf[:cap(buf)]
 				endPass(sp, 0)
 				return err
 			}
 			endPass(sp, n)
-			sortCh <- formBatch{nd: nd, dst: dst, off: nd.lo, buf: buf}
+			if err := sink.put(formBatch{nd: nd, dst: dst, off: nd.lo, buf: buf}); err != nil {
+				return err
+			}
 			continue
 		}
 		var watermark seq.Record
 		have := false
 		for outOff := nd.lo; outOff < nd.hi; {
-			if failed.Load() {
-				return nil
-			}
 			sp := e.passSpan(nd, outOff)
-			cand, err := e.selectPass(nd, watermark, have, (<-free)[:0])
+			cand, err := e.selectPass(nd, watermark, have, sink.take())
 			endPass(sp, len(cand))
 			if err != nil {
-				free <- cand[:cap(cand)]
 				return err
 			}
 			if len(cand) == 0 {
-				free <- cand[:cap(cand)]
 				return noProgressErr(nd, outOff)
 			}
 			// The next pass's watermark is the candidate maximum — what
-			// the sort stage will place last, computed here so the scan
-			// need not wait for the sort.
+			// the sort will place last, computed here so the scan need
+			// not wait for the sort.
 			watermark, have = cand[0], true
 			for _, r := range cand[1:] {
 				if seq.TotalLess(watermark, r) {
 					watermark = r
 				}
 			}
-			sortCh <- formBatch{nd: nd, dst: dst, off: outOff, buf: cand}
+			if err := sink.put(formBatch{nd: nd, dst: dst, off: outOff, buf: cand}); err != nil {
+				return err
+			}
 			outOff += len(cand)
 		}
-	}
-	return nil
-}
-
-// formRunSeq sorts input records [nd.lo, nd.hi) into dst at the same
-// offsets, strictly sequentially — the one-worker engine's formation.
-func (e *engine) formRunSeq(nd *planNode) error {
-	n := nd.len()
-	if n == 0 {
-		return nil
-	}
-	if err := e.canceled(); err != nil {
-		return err
-	}
-	dst, err := e.dst(nd)
-	if err != nil {
-		return err
-	}
-	if n <= e.cfg.mem {
-		sp := e.passSpan(nd, nd.lo)
-		defer endPass(sp, n)
-		buf := e.formBuf[:n]
-		if err := e.in.ReadAt(nd.lo+e.cfg.inSkip, buf); err != nil {
-			return err
-		}
-		rt.SortRecords(e.cfg.pool, buf)
-		return dst.WriteAt(nd.lo, buf)
-	}
-	var watermark seq.Record
-	have := false
-	for outOff := nd.lo; outOff < nd.hi; {
-		sp := e.passSpan(nd, outOff)
-		cand, err := e.selectPass(nd, watermark, have, e.formBuf[:0])
-		if err != nil {
-			endPass(sp, len(cand))
-			return err
-		}
-		if len(cand) == 0 {
-			endPass(sp, 0)
-			return noProgressErr(nd, outOff)
-		}
-		rt.SortRecords(e.cfg.pool, cand)
-		err = dst.WriteAt(outOff, cand)
-		endPass(sp, len(cand))
-		if err != nil {
-			return err
-		}
-		outOff += len(cand)
-		watermark, have = cand[len(cand)-1], true
 	}
 	return nil
 }

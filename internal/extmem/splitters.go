@@ -6,14 +6,14 @@ import (
 	"asymsort/internal/seq"
 )
 
-// This file exports the range-splitter mechanism that mergeNodePar uses
+// This file exports the range-splitter mechanism that mergeNode uses
 // to cut one merge across P pool workers, so that other layers can cut
 // the same total order across machines. The contract is shared: parts-1
 // splitter records are quantiles of a sorted sample, every cut is the
 // exact lower bound of a splitter under seq.TotalLess, and shard i
 // holds exactly the records r with splitter[i-1] <= r < splitter[i].
 // Because the order is total (key, then payload), concatenating the
-// sorted shards in shard order reproduces the sequential sort's output
+// sorted shards in shard order reproduces the one-shard sort's output
 // byte-for-byte — the invariant the cluster layer's solo==cluster
 // byte-identity check rests on.
 

@@ -1,9 +1,6 @@
 package extmem
 
-import (
-	"asymsort/internal/rt"
-	"asymsort/internal/seq"
-)
+import "asymsort/internal/seq"
 
 // The streaming post-pass hook: the third reusable phase of the engine
 // next to run formation and the planned k-way merge. A Streamer wired
@@ -19,10 +16,12 @@ import (
 // runs. With Post nil nothing changes: the sort path's plan, ledger,
 // and output bytes are untouched.
 //
-// A streamed root runs sequentially (the hook is a stateful fold over
-// the cross-extent stream, so the splitter-partitioned parallel merge
-// cannot host it); formation and the non-root merge levels keep their
-// full parallel shape.
+// The hook is a stateful fold over the whole sorted stream, so a
+// streamed root runs as one range: a merged root is the range merge at
+// P=1 (parmerge.go), and a single-leaf root is the formation pass loop
+// with a sink that folds each sorted candidate set (formRootStreamed).
+// Formation and the non-root merge levels keep their full parallel
+// shape.
 
 // Streamer is the streaming post-pass applied to the final sorted
 // stream. Push is called once per record in sorted order; Flush once
@@ -92,64 +91,26 @@ func ScanRecords(bf *BlockFile, lo, hi int, fn func(r seq.Record) error) error {
 // sorted order, so the streamer folds across pass boundaries exactly
 // as it folds across the root merge's stream, and the output file
 // receives only the emitted records — ⌈out/B⌉ block writes — through
-// one block-aligned writer. nd may be nil (an empty input), in which
-// case only Flush runs.
-func (e *engine) formRootStreamed(nd *planNode) error {
+// one block writer. leaves is empty for an empty input, in which case
+// only Flush runs.
+func (e *engine) formRootStreamed(leaves []*planNode) error {
 	post := e.cfg.post
-	wLen := formChunk - formChunk%e.cfg.block
-	if wLen < e.cfg.block {
-		wLen = e.cfg.block
-	}
-	w := newRunWriter(e.out, 0, make([]seq.Record, 0, wLen))
-	if nd != nil && nd.len() > 0 {
-		if err := e.canceled(); err != nil {
-			return err
-		}
-		n := nd.len()
-		if n <= e.cfg.mem {
-			sp := e.passSpan(nd, nd.lo)
-			buf := e.formBuf[:n]
-			if err := e.in.ReadAt(nd.lo+e.cfg.inSkip, buf); err != nil {
-				endPass(sp, 0)
+	wLen := max(formChunk-formChunk%e.cfg.block, e.cfg.block)
+	w := newAsyncWriter(e.out, 0, e.ioq, make([]seq.Record, e.ioq.writeBufs()*wLen))
+	emit := w.add
+	err := e.produceLeaves(leaves, e.inlineSink(func(b formBatch) error {
+		for _, r := range b.buf {
+			if err := post.Push(r, emit); err != nil {
 				return err
 			}
-			rt.SortRecords(e.cfg.pool, buf)
-			for _, r := range buf {
-				if err := post.Push(r, w.add); err != nil {
-					endPass(sp, n)
-					return err
-				}
-			}
-			endPass(sp, n)
-		} else {
-			var watermark seq.Record
-			have := false
-			for outOff := nd.lo; outOff < nd.hi; {
-				sp := e.passSpan(nd, outOff)
-				cand, err := e.selectPass(nd, watermark, have, e.formBuf[:0])
-				if err != nil {
-					endPass(sp, len(cand))
-					return err
-				}
-				if len(cand) == 0 {
-					endPass(sp, 0)
-					return noProgressErr(nd, outOff)
-				}
-				rt.SortRecords(e.cfg.pool, cand)
-				for _, r := range cand {
-					if err := post.Push(r, w.add); err != nil {
-						endPass(sp, len(cand))
-						return err
-					}
-				}
-				endPass(sp, len(cand))
-				outOff += len(cand)
-				watermark, have = cand[len(cand)-1], true
-			}
 		}
+		return nil
+	}))
+	if err == nil {
+		err = post.Flush(emit)
 	}
-	if err := post.Flush(w.add); err != nil {
-		return err
+	if err == nil {
+		err = w.close()
 	}
-	return w.flush()
+	return err
 }

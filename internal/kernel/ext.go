@@ -37,7 +37,7 @@ func blocksOf(n, block int) uint64 {
 // appender buffers sequential output records from offset 0 of a
 // BlockFile through a block-multiple buffer, so n appended records
 // cost exactly ⌈n/B⌉ block writes — the kernel-side counterpart of
-// the engine's runWriter.
+// the engine's block writer (extmem's asyncWriter).
 type appender struct {
 	bf  *extmem.BlockFile
 	off int
