@@ -44,13 +44,11 @@
 // arrival order. Leases shrink/grow at merge-level boundaries as load
 // changes — the adaptive policy picks shrink victims by observed merge
 // progress — and a disconnected client cancels its job: the engine
-// aborts and its spill files are removed. -omega is a prior: the
-// daemon measures the device's real write/read cost ratio from every
-// job's timed block IO (EWMA, persisted in -tmpdir), blends it with
-// the flag, and picks each ext job's fan-in k from the blend (-omega 0
-// trusts the measurement alone; see the asymsortd_tuning_* metrics and
-// the /stats "tuning" section). cmd/asymload is the matching
-// deterministic load generator.
+// aborts and its spill files are removed. -omega is the device's
+// write/read cost ratio, fixed for the daemon's lifetime: every ext
+// job's read multiplier is k = ChooseK(ω, grant, B) by the Appendix A
+// rule (unless -k pins it), and /stats records each job's ω and k.
+// cmd/asymload is the matching deterministic load generator.
 //
 // Observability: -trace-dir exports every job's span tree as JSONL and
 // Chrome trace-event JSON (open the latter at https://ui.perfetto.dev);
@@ -83,7 +81,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:8077", "listen address (host:port; :0 picks a free port)")
 		mem       = flag.String("mem", "64MB", "global memory budget shared by all jobs, e.g. 8MB")
 		block     = flag.Int("b", 64, "device block size in records (the model's B)")
-		omega     = flag.Float64("omega", 8, "prior write/read cost ratio ω, blended with the live measurement (0 = fully measured; picks k when -k 0)")
+		omega     = flag.Float64("omega", 8, "device write/read cost ratio ω, fixed for the daemon's lifetime (finite, > 0; picks k when -k 0)")
 		k         = flag.Int("k", 0, "ext read multiplier (0 = choose from ω, Appendix A)")
 		procs     = flag.Int("procs", 0, "machine worker count shared by all jobs (0 = GOMAXPROCS)")
 		tmpdir    = flag.String("tmpdir", "", "job staging/spill directory (default os.TempDir)")
@@ -102,6 +100,11 @@ func main() {
 	if *version {
 		fmt.Println(obs.ReadBuildInfo())
 		return
+	}
+	if err := serve.CheckOmega(*omega); err != nil {
+		fmt.Fprintf(os.Stderr, "asymsortd: bad -omega: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	var err error
 	if *coordinator {
@@ -226,7 +229,7 @@ func run(addr, memFlag string, block int, omega float64, k, procs int, tmpdir, t
 	}
 	stats := broker.Stats()
 	fmt.Printf("asymsortd: listening on %s\n", ln.Addr())
-	fmt.Printf("  envelope : M=%d records (%s), B=%d records, ω prior=%g (live-measured), procs=%d, min lease %d records\n",
+	fmt.Printf("  envelope : M=%d records (%s), B=%d records, ω=%g, procs=%d, min lease %d records\n",
 		stats.TotalMem, memFlag, block, omega, stats.Procs, stats.MinLease)
 	fmt.Printf("  admission: %s\n", admission)
 	fmt.Printf("  kernels  : %s\n", strings.Join(kernel.Names(), " · "))
@@ -270,7 +273,6 @@ func run(addr, memFlag string, block int, omega float64, k, procs int, tmpdir, t
 		if err := httpSrv.Shutdown(sctx); err != nil {
 			return fmt.Errorf("shutdown with jobs still in flight: %w", err)
 		}
-		srv.Close() // persist the ω estimator so the next start begins warm
 		broker.Close()
 		return nil
 	}

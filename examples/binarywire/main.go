@@ -87,7 +87,7 @@ func main() {
 		panic(err)
 	}
 	defer broker.Close()
-	srv, err := serve.NewServer(serve.ServerConfig{Broker: broker, TmpDir: dir})
+	srv, err := serve.NewServer(serve.ServerConfig{Broker: broker, Omega: 8, TmpDir: dir})
 	if err != nil {
 		panic(err)
 	}

@@ -3,7 +3,6 @@ package extmem
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"asymsort/internal/seq"
 )
@@ -323,32 +322,20 @@ func (q *IOQueue) execReadChain(c *ioChain) {
 		return
 	}
 	pieces, bufs := carveChain(c)
-	start := time.Now()
 	if err := sysReadV(bf.f, int64(lo)*RecordBytes, bufs); err != nil {
 		releasePieces(pieces)
 		c.fallback()
 		return
 	}
-	wall := time.Since(start)
 	for _, p := range pieces {
 		decodeRecs(p.recs, p.raw)
 	}
 	releasePieces(pieces)
 	q.batches.Add(1)
-	// The chain's wall cost is one syscall over all ops; feed the meter
-	// once with the whole span so the per-block estimate reflects the
-	// transfer as the device serviced it, while the ledger still charges
-	// op by op exactly as the synchronous path would.
-	var blocks uint64
-	for _, op := range c.ops {
-		n := bf.blockSpan(op.off, len(op.dst))
-		blocks += n
-		if bf.stats != nil {
-			bf.stats.reads.Add(n)
+	if bf.stats != nil {
+		for _, op := range c.ops {
+			bf.stats.reads.Add(bf.blockSpan(op.off, len(op.dst)))
 		}
-	}
-	if bf.stats != nil && bf.stats.meter != nil {
-		bf.stats.meter.ObserveRead(blocks, wall)
 	}
 	for _, op := range c.ops {
 		op.finish(ioResult{len(op.dst), nil})
@@ -370,26 +357,18 @@ func (q *IOQueue) execWriteChain(c *ioChain) {
 	for _, p := range pieces {
 		encodeRecs(p.raw, p.recs)
 	}
-	start := time.Now()
 	err := sysWriteV(bf.f, int64(lo)*RecordBytes, bufs)
-	wall := time.Since(start)
 	releasePieces(pieces)
 	if err != nil {
 		c.fallback()
 		return
 	}
 	q.batches.Add(1)
-	var blocks uint64
 	for _, op := range c.ops {
 		bf.extend(op.off + len(op.src))
-		n := bf.blockSpan(op.off, len(op.src))
-		blocks += n
 		if bf.stats != nil {
-			bf.stats.writes.Add(n)
+			bf.stats.writes.Add(bf.blockSpan(op.off, len(op.src)))
 		}
-	}
-	if bf.stats != nil && bf.stats.meter != nil {
-		bf.stats.meter.ObserveWrite(blocks, wall)
 	}
 	for _, op := range c.ops {
 		op.finish(ioResult{len(op.src), nil})

@@ -6,7 +6,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"asymsort/internal/seq"
 )
@@ -166,7 +165,6 @@ func (bf *BlockFile) ReadAt(off int, dst []seq.Record) error {
 	}
 	sp := scratchPool.Get().(*[]byte)
 	defer scratchPool.Put(sp)
-	start := time.Now()
 	for lo := 0; lo < len(dst); lo += ioChunk {
 		sub := dst[lo:min(lo+ioChunk, len(dst))]
 		raw := (*sp)[:len(sub)*RecordBytes]
@@ -178,7 +176,7 @@ func (bf *BlockFile) ReadAt(off int, dst []seq.Record) error {
 		decodeRecs(sub, raw)
 	}
 	if bf.stats != nil {
-		bf.stats.chargeRead(bf.blockSpan(off, len(dst)), time.Since(start))
+		bf.stats.reads.Add(bf.blockSpan(off, len(dst)))
 	}
 	return nil
 }
@@ -201,7 +199,6 @@ func (bf *BlockFile) WriteAt(off int, src []seq.Record) error {
 	}
 	sp := scratchPool.Get().(*[]byte)
 	defer scratchPool.Put(sp)
-	start := time.Now()
 	for lo := 0; lo < len(src); lo += ioChunk {
 		sub := src[lo:min(lo+ioChunk, len(src))]
 		raw := (*sp)[:len(sub)*RecordBytes]
@@ -212,7 +209,7 @@ func (bf *BlockFile) WriteAt(off int, src []seq.Record) error {
 	}
 	bf.extend(off + len(src))
 	if bf.stats != nil {
-		bf.stats.chargeWrite(bf.blockSpan(off, len(src)), time.Since(start))
+		bf.stats.writes.Add(bf.blockSpan(off, len(src)))
 	}
 	return nil
 }

@@ -130,28 +130,6 @@ type ProgressReporter interface {
 type IOStats struct {
 	reads  atomic.Uint64
 	writes atomic.Uint64
-	// meter, when non-nil, receives every charged span's wall cost —
-	// the OmegaMeter feed. It is set once before the engine starts and
-	// never mutated afterwards, so unsynchronized reads are safe.
-	meter *OmegaMeter
-}
-
-// chargeRead charges blocks to the read ledger and, when metered,
-// folds the span's wall cost into the ω estimate.
-func (s *IOStats) chargeRead(blocks uint64, d time.Duration) {
-	s.reads.Add(blocks)
-	if s.meter != nil {
-		s.meter.ObserveRead(blocks, d)
-	}
-}
-
-// chargeWrite charges blocks to the write ledger and, when metered,
-// folds the span's wall cost into the ω estimate.
-func (s *IOStats) chargeWrite(blocks uint64, d time.Duration) {
-	s.writes.Add(blocks)
-	if s.meter != nil {
-		s.meter.ObserveWrite(blocks, d)
-	}
 }
 
 // Snapshot freezes the current totals.
@@ -186,10 +164,10 @@ type Config struct {
 	// per level for a kM/B-times-shallower tree. 0 means choose K from
 	// Omega by the Appendix A rule (ChooseK).
 	K int
-	// Omega is the measured or configured block-write/block-read cost
-	// ratio of the target device (see rt.Ctx.Omega for the two roles of
-	// ω; this is the measured-device-ratio role). It is consumed only
-	// when K == 0 and by cost reporting; nothing is charged with it.
+	// Omega is the caller's block-write/block-read cost ratio for the
+	// target device (see rt.Ctx.Omega for the two roles of ω; this is
+	// the measured-device-ratio role). It is consumed only when K == 0
+	// and by cost reporting; nothing is charged with it.
 	Omega float64
 	// FanIn overrides the merge fan-in (default K*Mem/Block, min 2).
 	// Overriding it breaks the write-count identity with the simulated
@@ -243,13 +221,6 @@ type Config struct {
 	// and the write ledger are untouched. Nil (the default) records
 	// nothing; obs spans are nil-safe, so the engine never branches on it.
 	Span *obs.Span
-	// Meter, when non-nil, is the online ω estimator the engine feeds:
-	// every span the IOStats ledger charges also reports its wall cost
-	// to the meter (see OmegaMeter). Purely observational — nothing in
-	// the plan or the ledger depends on it. The serve daemon shares one
-	// meter across all its engines so the estimate reflects the whole
-	// device, not one job.
-	Meter *OmegaMeter
 	// InSkip is how many leading records of the input file to ignore —
 	// the zero-copy handoff for inputs that carry a whole-record wire
 	// header (a contiguous internal/wire frame is a valid record file
@@ -274,16 +245,14 @@ type resolved struct {
 	inSkip               int
 	post                 Streamer
 	span                 *obs.Span
-	meter                *OmegaMeter
 }
 
 func (c Config) resolve() (resolved, error) {
 	r := resolved{block: c.Block, omega: c.Omega}
 	// Degenerate ω never reaches ChooseK or the cost report: NaN and
 	// non-positive values mean "no usable write premium" (ω = 1, the
-	// classical regime), and +Inf — a meterable stall, not a device
-	// ratio — clamps to a large finite premium so fan-in and Cost stay
-	// finite.
+	// classical regime), and +Inf clamps to a large finite premium so
+	// fan-in and Cost stay finite.
 	if math.IsNaN(r.omega) || r.omega <= 0 {
 		r.omega = 1
 	} else if math.IsInf(r.omega, 1) {
@@ -327,7 +296,6 @@ func (c Config) resolve() (resolved, error) {
 	r.inSkip = c.InSkip
 	r.post = c.Post
 	r.span = c.Span
-	r.meter = c.Meter
 	return r, nil
 }
 

@@ -107,9 +107,6 @@ func Sort(cfg Config, inPath, outPath string) (*Report, error) {
 		return nil, err
 	}
 	e := &engine{cfg: r}
-	// Wire the ω meter before any BlockFile exists: the field is never
-	// mutated once IO can start, so the workers read it lock-free.
-	e.stats.meter = r.meter
 	in, err := OpenBlockFile(inPath, r.block, &e.stats)
 	if err != nil {
 		return nil, err

@@ -134,7 +134,7 @@ func TestServeKernelEndpointsText(t *testing.T) {
 			}
 		}
 	}
-	assertNoJobDirs(t, s.tmp)
+	assertSpillEmpty(t, s.tmp)
 }
 
 // TestServeKernelBinaryWire: a non-sort kernel on the binary dialect,
@@ -167,7 +167,7 @@ func TestServeKernelBinaryWire(t *testing.T) {
 			}
 		}
 	}
-	assertNoJobDirs(t, s.tmp)
+	assertSpillEmpty(t, s.tmp)
 }
 
 // TestServeSortAliasMatchesV1: /sort and /v1/sort return identical
@@ -311,7 +311,7 @@ func TestServeKernelBudgetRefusal(t *testing.T) {
 	if snap.Broker.FreeMem != snap.Broker.TotalMem || len(snap.Broker.Running) != 0 {
 		t.Errorf("budget refusal leaked a lease: %+v", snap.Broker)
 	}
-	assertNoJobDirs(t, s.tmp)
+	assertSpillEmpty(t, s.tmp)
 }
 
 // TestServeKernelStatsAggregates: /stats carries per-kernel ledgers
@@ -447,5 +447,5 @@ func TestServeKillMidMergeSemisortReclaimsLease(t *testing.T) {
 	if agg := snap.Kernels["semisort"]; agg.Canceled != 1 || agg.Done != 2 {
 		t.Errorf("semisort aggregate %+v, want 1 canceled + 2 done", agg)
 	}
-	assertNoJobDirs(t, s.tmp)
+	assertSpillEmpty(t, s.tmp)
 }

@@ -56,6 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -81,12 +82,10 @@ type ServerConfig struct {
 	// Block is the device block size in records for ext jobs (the
 	// model's B; default 64).
 	Block int
-	// Omega is the ω prior: the configured device write/read cost
-	// ratio, blended with the online estimator's measurement
-	// (extmem.OmegaMeter) by observation confidence when the Appendix A
-	// rule picks K per job. 0 means fully measured — no prior, the
-	// engine trusts the meter alone (falling back to ω = 1 while the
-	// meter is cold).
+	// Omega is the device's block-write/block-read cost ratio, fixed
+	// for the server's lifetime: every ext job is planned with it, so a
+	// job's K is ChooseK(Omega, grant, Block) whatever ran before it.
+	// It must be finite and positive.
 	Omega float64
 	// K is the ext engine's read multiplier (0 = choose from Omega).
 	K int
@@ -121,7 +120,6 @@ type Server struct {
 	draining atomic.Bool
 	reg      *obs.Registry
 	obsm     serverMetrics
-	meter    *extmem.OmegaMeter
 	mu       sync.Mutex
 	jobs     map[int]*JobStats
 	agg      map[string]*KernelLedger
@@ -199,10 +197,9 @@ type JobStats struct {
 	PlanWrites uint64 `json:"plan_writes,omitempty"`
 	Levels     int    `json:"levels,omitempty"`
 	K          int    `json:"k,omitempty"`
-	// Omega is the effective ω the ext job was planned with: the
-	// measured estimate blended with the configured prior at admission
-	// time. Together with MemGrant and the block size it reproduces the
-	// job's K via extmem.ChooseK.
+	// Omega is the ω the ext job was planned with — the server's
+	// configured ServerConfig.Omega. Together with MemGrant and the
+	// block size it reproduces the job's K via extmem.ChooseK.
 	Omega float64 `json:"omega,omitempty"`
 	// Priority is the job's clamped admission class; DeadlineMS its
 	// relative latency target at arrival (0 = none).
@@ -250,6 +247,15 @@ type KernelLedger struct {
 	PlanWrites uint64 `json:"plan_writes"`
 }
 
+// CheckOmega rejects a device write/read cost ratio no plan can be
+// built from: NaN, ±Inf, and non-positive values.
+func CheckOmega(omega float64) error {
+	if math.IsNaN(omega) || math.IsInf(omega, 0) || omega <= 0 {
+		return fmt.Errorf("omega must be a finite positive write/read cost ratio, got %v", omega)
+	}
+	return nil
+}
+
 // NewServer builds a job engine over the broker.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Broker == nil {
@@ -258,8 +264,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Block < 1 {
 		cfg.Block = 64
 	}
-	if cfg.Omega < 0 {
-		cfg.Omega = 0 // fully measured, like an explicit 0
+	if err := CheckOmega(cfg.Omega); err != nil {
+		return nil, fmt.Errorf("serve: %v", err)
 	}
 	if cfg.TmpDir == "" {
 		cfg.TmpDir = os.TempDir()
@@ -274,46 +280,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg: cfg, start: time.Now(), build: obs.ReadBuildInfo(),
 		reg: reg, obsm: newServerMetrics(reg),
-		meter: extmem.NewOmegaMeter(cfg.TmpDir),
-		jobs:  make(map[int]*JobStats), agg: make(map[string]*KernelLedger),
+		jobs: make(map[int]*JobStats), agg: make(map[string]*KernelLedger),
 	}
 	reg.GaugeFunc("asymsortd_uptime_seconds",
 		"Seconds since the job engine started.",
 		func() float64 { return time.Since(s.start).Seconds() })
-	// The asymsortd_tuning_* family: the online ω estimator feeding
-	// per-job k selection (see extmem.OmegaMeter and docs/OPERATIONS.md).
-	meter, prior := s.meter, cfg.Omega
-	reg.GaugeFunc("asymsortd_tuning_omega_measured",
-		"Measured device write/read block-cost ratio (0 while the estimator is cold).",
-		func() float64 { w, _ := meter.Measured(); return w })
-	reg.GaugeFunc("asymsortd_tuning_omega_effective",
-		"Effective omega new ext jobs are planned with: measurement blended with the configured prior.",
-		func() float64 { return meter.Effective(prior) })
-	reg.GaugeFunc("asymsortd_tuning_omega_prior",
-		"Configured omega prior (the -omega flag; 0 = fully measured).",
-		func() float64 { return prior })
-	reg.GaugeFunc("asymsortd_tuning_read_ns_per_block",
-		"EWMA wall nanoseconds per device block read.",
-		func() float64 { return meter.Snapshot().ReadNSPerBlock })
-	reg.GaugeFunc("asymsortd_tuning_write_ns_per_block",
-		"EWMA wall nanoseconds per device block write.",
-		func() float64 { return meter.Snapshot().WriteNSPerBlock })
-	reg.GaugeFunc("asymsortd_tuning_observed_read_blocks",
-		"Device blocks whose read wall cost has fed the omega estimator.",
-		func() float64 { return float64(meter.Snapshot().ReadBlocks) })
-	reg.GaugeFunc("asymsortd_tuning_observed_write_blocks",
-		"Device blocks whose write wall cost has fed the omega estimator.",
-		func() float64 { return float64(meter.Snapshot().WriteBlocks) })
 	return s, nil
 }
-
-// Meter returns the server's ω estimator (tests prime it; the daemon
-// persists it on shutdown via Close).
-func (s *Server) Meter() *extmem.OmegaMeter { return s.meter }
-
-// Close persists the ω estimator's state so the next daemon on this
-// tmpdir warms up from it. The HTTP side needs no teardown.
-func (s *Server) Close() error { return s.meter.Save() }
 
 // SetDraining flips /healthz to "draining" — called by the daemon when
 // it stops accepting connections and waits out running jobs, so load
@@ -438,45 +411,16 @@ func methodNotAllowed(allow string) http.HandlerFunc {
 	}
 }
 
-// tuningStats is the /stats view of the online ω estimator: the raw
-// measurement, the configured prior, and the blend jobs actually run
-// with right now.
-type tuningStats struct {
-	OmegaPrior     float64 `json:"omega_prior"`
-	OmegaMeasured  float64 `json:"omega_measured,omitempty"`
-	OmegaEffective float64 `json:"omega_effective"`
-	MeasuredOK     bool    `json:"measured_ok"`
-	ReadNSPerBlock float64 `json:"read_ns_per_block,omitempty"`
-	WriteNSPerBlk  float64 `json:"write_ns_per_block,omitempty"`
-	ReadBlocks     uint64  `json:"observed_read_blocks"`
-	WriteBlocks    uint64  `json:"observed_write_blocks"`
-}
-
 // statsSnapshot is the /stats payload.
 type statsSnapshot struct {
 	Broker  BrokerStats             `json:"broker"`
-	Tuning  tuningStats             `json:"tuning"`
 	Kernels map[string]KernelLedger `json:"kernels"`
 	Jobs    []JobStats              `json:"jobs"`
 }
 
-func (s *Server) tuningSnapshot() tuningStats {
-	ms := s.meter.Snapshot()
-	return tuningStats{
-		OmegaPrior:     s.cfg.Omega,
-		OmegaMeasured:  ms.Measured,
-		OmegaEffective: s.meter.Effective(s.cfg.Omega),
-		MeasuredOK:     ms.Ok,
-		ReadNSPerBlock: ms.ReadNSPerBlock,
-		WriteNSPerBlk:  ms.WriteNSPerBlock,
-		ReadBlocks:     ms.ReadBlocks,
-		WriteBlocks:    ms.WriteBlocks,
-	}
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	snap := statsSnapshot{Broker: s.cfg.Broker.Stats(), Tuning: s.tuningSnapshot(), Kernels: make(map[string]KernelLedger, len(s.agg))}
+	snap := statsSnapshot{Broker: s.cfg.Broker.Stats(), Kernels: make(map[string]KernelLedger, len(s.agg))}
 	for name, a := range s.agg {
 		snap.Kernels[name] = *a
 	}
@@ -823,14 +767,8 @@ func (s *Server) runJob(ctx context.Context, j *JobStats, w http.ResponseWriter,
 		j.Model = model
 		j.MemGrant = grant
 		j.Procs = lease.Procs()
+		j.Omega = s.cfg.Omega
 	})
-
-	// Effective ω for this job: the live measurement blended with the
-	// configured prior (fully measured when the prior is 0). ChooseK
-	// inside the ext engine sees exactly this value, so the per-job fan-in
-	// tracks the device the daemon is actually running on.
-	omega := s.meter.Effective(s.cfg.Omega)
-	s.setJob(j, func(j *JobStats) { j.Omega = omega })
 
 	runStart := time.Now()
 	runSp := root.Child("run")
@@ -845,15 +783,15 @@ func (s *Server) runJob(ctx context.Context, j *JobStats, w http.ResponseWriter,
 			return fail(http.StatusInsufficientStorage,
 				"job %d: native needs %d records resident, grant is %d", j.ID, 2*n, grant)
 		}
-		outN, err = runNative(lease, k, p, staged, skip, outBin, omega)
+		outN, err = runNative(lease, k, p, staged, skip, outBin, s.cfg.Omega)
 		if err != nil {
 			return fail(http.StatusInternalServerError, "job %d: %v", j.ID, err)
 		}
 	case "ext":
 		res, err := k.Ext(extmem.Config{
-			Mem: grant, Block: s.cfg.Block, K: s.cfg.K, Omega: omega,
+			Mem: grant, Block: s.cfg.Block, K: s.cfg.K, Omega: s.cfg.Omega,
 			TmpDir: dir, Pool: lease.Pool(), IOQ: s.cfg.Broker.IOQ(), Lease: lease,
-			Span: runSp, InSkip: skip, Meter: s.meter,
+			Span: runSp, InSkip: skip,
 		}, staged, outBin, p)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -868,9 +806,6 @@ func (s *Server) runJob(ctx context.Context, j *JobStats, w http.ResponseWriter,
 		outN = res.OutN
 		ledgerWrites, ledgerPlanWrites = res.Total.Writes, res.PlanWrites
 		s.recordBlockIO(res)
-		// Persist the freshly-observed costs so a restarted daemon starts
-		// warm. Best-effort: a full tmpdir must not fail the job.
-		_ = s.meter.Save()
 		s.setJob(j, func(j *JobStats) {
 			j.Reads = res.Total.Reads
 			j.Writes = res.Total.Writes

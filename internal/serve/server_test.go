@@ -199,21 +199,20 @@ func TestServeConcurrentExtJobsShareEnvelope(t *testing.T) {
 	if snap.Broker.FreeMem != snap.Broker.TotalMem || len(snap.Broker.Running) != 0 {
 		t.Fatalf("envelope not whole after jobs: %+v", snap.Broker)
 	}
-	assertNoJobDirs(t, s.tmp)
+	assertSpillEmpty(t, s.tmp)
 }
 
-// assertNoJobDirs asserts every per-job scratch dir (staging, output,
-// spill) was removed.
-func assertNoJobDirs(t *testing.T, tmp string) {
+// assertSpillEmpty asserts the server's TmpDir holds nothing once its
+// jobs are over: every per-job scratch dir (staging, output, spill) was
+// removed and the daemon keeps no state file of its own there.
+func assertSpillEmpty(t *testing.T, tmp string) {
 	t.Helper()
 	entries, err := os.ReadDir(tmp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "asymsortd-job") {
-			t.Fatalf("job scratch dir %s left behind", e.Name())
-		}
+		t.Errorf("%s left behind in the spill dir", e.Name())
 	}
 }
 
@@ -317,7 +316,7 @@ func TestServeKillMidMergeReclaimsLease(t *testing.T) {
 			t.Errorf("bystander job %d: state=%s writes=%d plan=%d", j.ID, j.State, j.Writes, j.PlanWrites)
 		}
 	}
-	assertNoJobDirs(t, s.tmp)
+	assertSpillEmpty(t, s.tmp)
 }
 
 // TestServeQueueBackpressure: more jobs than the envelope admits must
