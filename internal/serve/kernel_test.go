@@ -424,17 +424,7 @@ func TestServeKillMidMergeSemisortReclaimsLease(t *testing.T) {
 	}
 	wg.Wait()
 
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		snap := s.stats(t)
-		if snap.Broker.FreeMem == snap.Broker.TotalMem && len(snap.Broker.Running) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("lease never reclaimed: %+v", snap.Broker)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitJobsSettled(t, s, "semisort", 3)
 	snap := s.stats(t)
 	if snap.Jobs[0].State != "canceled" {
 		t.Fatalf("victim state %q (err %q), want canceled", snap.Jobs[0].State, snap.Jobs[0].Err)

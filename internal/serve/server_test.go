@@ -202,6 +202,26 @@ func TestServeConcurrentExtJobsShareEnvelope(t *testing.T) {
 	assertSpillEmpty(t, s.tmp)
 }
 
+// waitJobsSettled waits until the broker's envelope is whole again and
+// all n jobs of the kernel have been accounted as finished. The lease
+// is released before the job's scratch dir is removed and its outcome
+// recorded, so a whole envelope alone does not mean the job is over.
+func waitJobsSettled(t *testing.T, s *testService, kernel string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		snap := s.stats(t)
+		if snap.Broker.FreeMem == snap.Broker.TotalMem && len(snap.Broker.Running) == 0 &&
+			snap.Kernels[kernel].Jobs == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs never settled: broker %+v, %s aggregate %+v", snap.Broker, kernel, snap.Kernels[kernel])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // assertSpillEmpty asserts the server's TmpDir holds nothing once its
 // jobs are over: every per-job scratch dir (staging, output, spill) was
 // removed and the daemon keeps no state file of its own there.
@@ -294,17 +314,7 @@ func TestServeKillMidMergeReclaimsLease(t *testing.T) {
 	wg.Wait()
 
 	// The broker must reclaim the victim's lease once its engine aborts.
-	deadline = time.Now().Add(10 * time.Second)
-	for {
-		snap := s.stats(t)
-		if snap.Broker.FreeMem == snap.Broker.TotalMem && len(snap.Broker.Running) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("lease never reclaimed: %+v", snap.Broker)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitJobsSettled(t, s, "sort", 3)
 	// The victim's state records the cancellation, and every job dir —
 	// including the victim's spill files — is gone.
 	snap := s.stats(t)
