@@ -145,8 +145,8 @@ func extRun(inPath, outPath, memFlag string, blockRecs int, omega uint64, k, fan
 	fmt.Printf("  budget   : M=%d records (%s), B=%d records (%s), ω=%d\n",
 		rep.Mem, fmtBytes(int64(rep.Mem)*extmem.RecordBytes),
 		rep.Block, fmtBytes(int64(rep.Block)*extmem.RecordBytes), omega)
-	fmt.Printf("  plan     : k=%d, fan-in=%d, %d runs, %d merge levels (Appendix A: ω/lg(M/B) admits k=%d)\n",
-		rep.K, rep.FanIn, rep.Runs, rep.Levels,
+	fmt.Printf("  plan     : k=%d, fan-in=%d, %d runs, %d merge levels, width %d (Appendix A: ω/lg(M/B) admits k=%d)\n",
+		rep.K, rep.FanIn, rep.Runs, rep.Levels, rep.Width,
 		extmem.ChooseK(float64(omega), rep.Mem, rep.Block))
 	engine := "one worker, inline IO"
 	if rep.Procs > 1 {

@@ -179,8 +179,8 @@ func kernelExt(k *kernel.Kernel, p kernel.Params, in []seq.Record, f kernelFlags
 	fmt.Printf("  budget  : M=%d records (%s), B=%d records, ω=%d\n",
 		int(memBytes/extmem.RecordBytes), fmtBytes(memBytes), f.b, f.omega)
 	for _, rep := range res.Sorts {
-		fmt.Printf("  sort    : n=%d, k=%d, fan-in=%d, %d runs, %d merge levels\n",
-			rep.N, rep.K, rep.FanIn, rep.Runs, rep.Levels)
+		fmt.Printf("  sort    : n=%d, k=%d, fan-in=%d, %d runs, %d merge levels, width %d\n",
+			rep.N, rep.K, rep.FanIn, rep.Runs, rep.Levels, rep.Width)
 	}
 	fmt.Printf("  total   : %d reads, %d writes, device cost R+ωW = %d\n",
 		res.Total.Reads, res.Total.Writes, res.Total.Cost(f.omega))

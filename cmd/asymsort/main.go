@@ -33,9 +33,10 @@
 // frame. The ext
 // model runs the internal/extmem external-memory engine: it sorts
 // files larger than RAM under the -mem budget, spilling sorted runs to
-// -tmpdir and merging them at the fan-in the paper's Appendix A rule
-// picks for the device's read/write cost ratio ω (override with
-// -fanin), and reports the measured block-IO ledger next to wall-clock.
+// -tmpdir and merging them within the fan-in bound kM/B, whose k the
+// paper's Appendix A rule picks for the device's read/write cost
+// ratio ω (override the bound with -fanin), and reports the measured
+// block-IO ledger next to wall-clock.
 // With -procs P > 1 (the default is GOMAXPROCS) the engine pipelines
 // run formation, cuts every merge into P worker-private key ranges,
 // and overlaps block IO with compute — the block-write ledger is
@@ -87,7 +88,7 @@ func main() {
 		outPath = flag.String("out", "", "native/ext output file for sorted keys ('-' = stdout)")
 		compare = flag.Bool("compare", false, "native: also time the single-worker run and slices-based sort")
 		mem     = flag.String("mem", "64MB", "ext: primary-memory budget, e.g. 8MB, 512KB, or bytes")
-		fanin   = flag.Int("fanin", 0, "ext: merge fan-in override (0 = kM/B from the Appendix A rule)")
+		fanin   = flag.Int("fanin", 0, "ext: upper bound on the merge width (0 = kM/B from the Appendix A rule)")
 		tmpdir  = flag.String("tmpdir", "", "ext: spill directory (default: a fresh dir under os.TempDir)")
 		wireFmt = flag.String("wire", "text", "ext: -in/-out dialect: text (one key per line) | binary (record frames; a contiguous frame file is handed to the engine with no staging copy)")
 		kname   = flag.String("kernel", "sort", "kernel to run: sort | semisort | histogram | top-k | merge-join (non-sort kernels take -model co | pram | native | ext)")

@@ -23,7 +23,8 @@
 //   - internal/aem — Asymmetric External Memory (block transfers, strict M)
 //   - internal/extmem — the Section 4 external sort on real files: a
 //     disk-backed engine (instrumented block IO, loser-tree k-way merge
-//     at fan-in kM/B, a streaming post-pass hook the kernel
+//     within the fan-in bound kM/B — leaf parents take the fewest runs
+//     that fit, ⌈n/M⌉ at k = 1 — a streaming post-pass hook the kernel
 //     compositions ride) that sorts files larger than RAM and whose
 //     measured block-write ledger matches the simulated AEM machine's
 //     level-for-level (cmd/asymsort -model ext). With -procs P > 1 it

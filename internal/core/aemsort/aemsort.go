@@ -153,8 +153,10 @@ func mergeSortRec(ma *aem.Machine, in *aem.File, k int, opt Options) *aem.File {
 // [bounds[i], bounds[i+1]), bounds[0] = 0, and the last bound is n —
 // so every child but the last is a whole number of blocks. The
 // simulator and the disk engine's planner (extmem.NewPlan) both cut
-// through this one function, which is what makes their merge trees,
-// and hence their block-write ledgers, coincide level for level.
+// through this one function, which is what makes their merge trees
+// coincide above the leaves, and hence their block-write ledgers level
+// for level; the planner only re-cuts a node whose children are all
+// leaves into fewer, larger leaves (see extmem/plan.go).
 func Partition(n, block, l int) []int {
 	blocks := (n + block - 1) / block
 	per := (blocks + l - 1) / l

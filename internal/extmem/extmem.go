@@ -42,15 +42,18 @@
 //     chain charges IOStats span by span, so neither overlapping nor
 //     coalescing ever changes the ledger.
 //
-// Crucially, the merge tree the engine executes is the exact partition
-// tree AEM-MERGESORT builds for the same (n, M, B, k) — top-down,
+// Crucially, the merge tree the engine executes is the partition tree
+// AEM-MERGESORT builds for the same (n, M, B, k) — top-down,
 // block-granularity partition into at most l = kM/B subarrays, leaves
-// of at most kM records (plan.go). Because both sides write each
-// node's output once through block-aligned buffers, the engine's
-// measured block-write count equals the simulated ledger's write count
-// level-for-level, for every configuration AND every worker count —
-// parallel workers write only whole private blocks, boundary fragments
-// are stitched once — and the integration tests assert this. Reads
+// of at most kM records — except that a node whose children are all
+// leaves takes the fewest leaves its pass budget fits rather than up
+// to kM/B (plan.go). Because both sides write each node's output once
+// through block-aligned buffers, and the narrowing moves no node
+// between levels, the engine's measured block-write count equals the
+// simulated ledger's write count level-for-level, for every
+// configuration AND every worker count — parallel workers write only
+// whole private blocks, boundary fragments are stitched once — and the
+// integration tests assert this. Reads
 // differ in the constant (the simulator re-reads run blocks across
 // queue rounds, the engine re-reads them across prefetch refills, and
 // the parallel merge adds at most P-1 splitter-probe block reads per
@@ -145,33 +148,38 @@ type Config struct {
 	// every processor owns a private memory of size M: each worker's
 	// record buffers live in one M-record arena, which run formation
 	// uses as a candidate set and each merge carves into the per-run
-	// refill buffers plus the write buffer. A one-worker engine (P=1)
+	// refill buffers plus the write buffer. On Linux the arenas are
+	// mapped outside the Go heap and unmapped when Sort returns, so a
+	// finished sort's M records leave the process at once instead of
+	// waiting as garbage. A one-worker engine (P=1)
 	// therefore keeps its resident record storage at M throughout;
 	// outside the budget ride only what the simulator's slackBlocks
 	// also grants — O(fan-in) metadata, a streaming read chunk, the
 	// bounded encode/decode scratch pool. On a parallel engine the
-	// formation pipeline circulates two candidate buffers plus the
-	// transient rt.SortRecords merge scratch, each of the P merge
-	// workers carves a full M/(f+1)-per-run share (aggregate merge
-	// residency ≤ P·M, plus a second write-behind buffer per worker),
-	// and each run keeps a one-record-per-block cut index in memory for
-	// the parent's splitter search.
+	// formation pipeline circulates two candidate buffers (rt.SortRecords
+	// sorts them in place), each of the P merge workers carves its f
+	// run shares and its two write-behind buffers from its own M
+	// (aggregate merge residency ≤ P·M), and each run keeps a
+	// one-record-per-block cut index in memory for the parent's
+	// splitter search.
 	Mem int
 	// Block is the device block/page size in records (the model's B).
 	Block int
 	// K is the read multiplier: leaves hold up to K*Mem records and the
-	// merge fan-in widens to K*Mem/Block, trading up to K read passes
-	// per level for a kM/B-times-shallower tree. 0 means choose K from
-	// Omega by the Appendix A rule (ChooseK).
+	// merge fan-in bound widens to K*Mem/Block, trading up to K read
+	// passes per level for a kM/B-times-shallower tree. 0 means choose
+	// K from Omega by the Appendix A rule (ChooseK).
 	K int
 	// Omega is the caller's block-write/block-read cost ratio for the
 	// target device (see rt.Ctx.Omega for the two roles of ω; this is
 	// the measured-device-ratio role). It is consumed only when K == 0
 	// and by cost reporting; nothing is charged with it.
 	Omega float64
-	// FanIn overrides the merge fan-in (default K*Mem/Block, min 2).
-	// Overriding it breaks the write-count identity with the simulated
-	// AEM ledger, which is defined at fan-in kM/B.
+	// FanIn overrides the merge fan-in bound l (default K*Mem/Block,
+	// min 2): the upper bound on any node's width, which the planner
+	// undercuts wherever fewer leaves fit (see NewPlan). Overriding it
+	// breaks the write-count identity with the simulated AEM ledger,
+	// which is defined at l = kM/B.
 	FanIn int
 	// TmpDir is where spill files live. Empty means os.TempDir(). The
 	// engine always removes its spill files before returning.
@@ -340,8 +348,11 @@ type Report struct {
 	Mem   int // effective memory budget in records
 	Block int // block size in records
 	K     int // read multiplier
-	FanIn int // merge fan-in l
+	FanIn int // merge fan-in bound l
 	Runs  int // leaf runs formed
+	// Width is the widest merge the plan executes: the largest child
+	// count of any merge node (≤ FanIn), 0 when there is no merge.
+	Width int
 	// Levels is the number of merge levels (write passes beyond run
 	// formation).
 	Levels int

@@ -43,7 +43,8 @@ func fuzzWorkload(shape, n int, seed uint64) []seq.Record {
 // Seed corpus: the shapes of internal/integration/extmem_test.go —
 // single-run, one-merge, the ragged-depth tree, deep-classic,
 // multi-pass k ∈ {2,3,4}, and the tail-record case — at both engine
-// widths, plus streamed single-leaf and merged roots.
+// widths, plus streamed single-leaf and merged roots and a k ≥ 2 leaf
+// parent narrowed to multi-pass leaves.
 func FuzzExtSort(f *testing.F) {
 	f.Add(uint16(100), uint16(256), uint8(16), uint8(1), uint8(1), uint8(0), uint64(100), uint8(0))
 	f.Add(uint16(2048), uint16(256), uint8(16), uint8(1), uint8(4), uint8(0), uint64(2048), uint8(0))
@@ -60,6 +61,9 @@ func FuzzExtSort(f *testing.F) {
 	f.Add(uint16(900), uint16(256), uint8(16), uint8(3), uint8(3), uint8(3), uint64(900), uint8(1))
 	f.Add(uint16(5000), uint16(128), uint8(16), uint8(1), uint8(0), uint8(3), uint64(5000), uint8(1))
 	f.Add(uint16(5000), uint16(128), uint8(16), uint8(1), uint8(3), uint8(3), uint64(5000), uint8(1))
+	// A k=3 leaf parent at the root: the paper cut's 23 leaves of 224
+	// records re-cut into 20 two-pass leaves of ≤ 256, merged on P=2.
+	f.Add(uint16(5000), uint16(128), uint8(15), uint8(2), uint8(1), uint8(0), uint64(5000), uint8(0))
 
 	f.Fuzz(func(t *testing.T, n, mem uint16, block, k, procs, shape uint8, seed uint64, post uint8) {
 		// Clamp the raw fuzz bytes into the engine's valid domain while

@@ -40,7 +40,7 @@ func dedupRef(sorted []seq.Record) []seq.Record {
 }
 
 // TestOneWorkerLedgerGolden pins the one-worker engine's block ledger
-// and output bytes on a handful of plan shapes: a wide k=1 merge,
+// and output bytes on a handful of plan shapes: a 59-way k=1 merge,
 // multi-pass selection leaves, a ragged tree, a deep tree, and both
 // streamed-root shapes (a merged root and a single-leaf root). Any
 // change to how P=1 issues its reads, writes, or records shows up
@@ -55,15 +55,15 @@ func TestOneWorkerLedgerGolden(t *testing.T) {
 		sha              string
 	}{
 		{"wide-k1", 60000, 1024, 8, 1, 0, false,
-			22500, 15000, "0493fbb9fe7fa1f8583a72e68462a45ff97f075abf0edc7f9807afe551c50642"},
+			18105, 15000, "0493fbb9fe7fa1f8583a72e68462a45ff97f075abf0edc7f9807afe551c50642"},
 		{"passes-k3", 5000, 128, 16, 3, 0, false,
-			1872, 626, "322e6f7bf6662fd151e2653ce2183d2006111c5fe66c72d0aebd0aade4225e06"},
+			1662, 626, "322e6f7bf6662fd151e2653ce2183d2006111c5fe66c72d0aebd0aade4225e06"},
 		{"ragged", 1040, 128, 16, 1, 0, false,
-			286, 193, "c821f14d3339a7b738dce80fe55c2fcf621e17fbe75e55300b86539cfd215799"},
+			272, 193, "c821f14d3339a7b738dce80fe55c2fcf621e17fbe75e55300b86539cfd215799"},
 		{"deep", 8192, 64, 16, 1, 0, false,
-			4608, 2560, "668dd23162829f29889ab097ced0bdf870f61781baaba88ec10693c7c2b0717b"},
+			4480, 2560, "668dd23162829f29889ab097ced0bdf870f61781baaba88ec10693c7c2b0717b"},
 		{"post-merged-root", 5000, 128, 16, 2, 97, true,
-			1911, 620, "1591c943cc0a92d2edbda206d1fab7f026905c89d078139752108baab24c7386"},
+			1611, 620, "1591c943cc0a92d2edbda206d1fab7f026905c89d078139752108baab24c7386"},
 		{"post-leaf-root", 900, 256, 16, 4, 53, true,
 			228, 4, "6bf757ceaa0e6b85abc0f15bc6023f45313badfad97a1e514926f0415f7d328b"},
 	}

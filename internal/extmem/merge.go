@@ -43,6 +43,11 @@ type engine struct {
 	// readers and write buffers from its own, so a one-worker engine's
 	// record storage is the single arena 0.
 	arenas [][]seq.Record
+	// unmap releases every arena allocRecords mapped outside the heap
+	// (a regrown arena's old mapping included), and mapped counts
+	// their records.
+	unmap  []func()
+	mapped int
 	report *Report
 	// formSpan is the live formation-phase trace span while run
 	// formation executes; selection passes hang their per-pass child
@@ -54,9 +59,23 @@ type engine struct {
 // records.
 func (e *engine) arena(i, need int) []seq.Record {
 	if len(e.arenas[i]) < need {
-		e.arenas[i] = make([]seq.Record, need)
+		recs, release := allocRecords(need)
+		if release != nil {
+			e.unmap = append(e.unmap, release)
+			e.mapped += need
+		}
+		e.arenas[i] = recs
 	}
 	return e.arenas[i]
+}
+
+// releaseArenas unmaps the engine's arenas. It may run only once no
+// goroutine or queued transfer can touch them.
+func (e *engine) releaseArenas() {
+	for _, release := range e.unmap {
+		release()
+	}
+	e.unmap, e.arenas = nil, nil
 }
 
 // grantMem returns the grant the next phase's buffers carve from:
@@ -102,11 +121,22 @@ func (e *engine) canceled() error {
 // outPath under cfg's memory budget. Spill files are created in
 // cfg.TmpDir and removed before returning, error or not.
 func Sort(cfg Config, inPath, outPath string) (*Report, error) {
+	e := new(engine)
+	rep, err := e.sort(cfg, inPath, outPath)
+	// Not deferred: sort returns only after joining every goroutine and
+	// draining every transfer that used an arena, but a panic can leave
+	// a worker running, so a panicking sort leaves its arenas mapped.
+	e.releaseArenas()
+	return rep, err
+}
+
+// sort is Sort on a fresh engine, minus releasing the arenas.
+func (e *engine) sort(cfg Config, inPath, outPath string) (*Report, error) {
 	r, err := cfg.resolve()
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{cfg: r}
+	e.cfg = r
 	in, err := OpenBlockFile(inPath, r.block, &e.stats)
 	if err != nil {
 		return nil, err
@@ -131,7 +161,7 @@ func Sort(cfg Config, inPath, outPath string) (*Report, error) {
 	e.plan = NewPlan(n, r.mem, r.block, r.k, r.fanIn)
 	e.report = &Report{
 		N: n, Mem: r.mem, Block: r.block, K: r.k, FanIn: r.fanIn,
-		Runs: e.plan.Runs(), Levels: e.plan.Levels(), Omega: r.omega,
+		Runs: e.plan.Runs(), Width: e.plan.Width(), Levels: e.plan.Levels(), Omega: r.omega,
 		Procs:      r.procs,
 		LevelIO:    make([]cost.Snapshot, e.plan.Levels()+1),
 		PlanWrites: e.plan.TotalWrites(),

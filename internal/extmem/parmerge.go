@@ -94,19 +94,20 @@ func (e *engine) mergeNode(nd *planNode, P int) error {
 	}
 
 	// Per-worker buffer carve: M splits evenly across the fan-in's
-	// refill buffers plus the write buffer. With the canonical fan-in
-	// kM/B the per-run buffer is ≈B/k records, so each device block is
-	// fetched ≈k times per level — exactly the read amplification
-	// AEM-MERGESORT trades for its shallower tree. Every worker gets
-	// the full carve M/(f+1): the paper's parallel machine (§3) grants
-	// each of the P processors a private memory of size M, so the
-	// engine's aggregate merge residency of ≤ P·M realizes exactly
+	// refill buffers plus the writer's flush buffers — one inline, two
+	// to write behind — so f·c plus the flush buffers fit the grant.
+	// At a fan-in of kM/B the per-run buffer is ≈B/k records, so each
+	// device block is fetched ≈k times per level — exactly the read
+	// amplification AEM-MERGESORT trades for its shallower tree. Every
+	// worker gets the full carve: the paper's parallel machine (§3)
+	// grants each of the P processors a private memory of size M, so
+	// the engine's aggregate merge residency of ≤ P·M realizes exactly
 	// that machine (P·levelMem when a lease resized the grant), and the
 	// read amplification stays at ≈k× instead of growing with P. The
-	// write buffer takes whole blocks; degenerate configs whose f+1
-	// shares round below one record (or one block) grow the arena
-	// slightly, the same small slack the simulator grants.
-	c := e.levelMem / (f + 1)
+	// flush buffers take whole blocks; degenerate configs whose shares
+	// round below one record (or one block) grow the arena slightly,
+	// the same small slack the simulator grants.
+	c := e.levelMem / (f + e.ioq.writeBufs())
 	if c < 1 {
 		c = 1
 	}

@@ -12,6 +12,29 @@ import (
 // sides write every node's output exactly once through block-aligned
 // buffers, so the block-write ledgers coincide per level, not just in
 // total; internal/integration asserts it.
+//
+// The one departure is the leaf-parent rule. The paper's l = kM/B is a
+// bound on a node's fan-in, not a target: when every child of the
+// paper cut would be a leaf (its first, largest child has ≤ kM
+// records), the node re-cuts itself into the fewest children that fit
+// the paper leaf's own selection budget, cap = ⌈first/M⌉·M records —
+// ⌈n/cap⌉ children, so ⌈n/M⌉ runs at k = 1 instead of up to kM/B.
+// This preserves what the ledger and the leaf cost depend on:
+//
+//   - cap is a block multiple ≤ kM, so every re-cut child is still a
+//     leaf, the node's height stays 1, and the levels of every node
+//     above are unchanged;
+//   - every child but the last is whole blocks, so the children's
+//     formation writes still sum to the node's ⌈n/B⌉ — per-level
+//     writes equal the simulator's;
+//   - a re-cut child of ≤ cap records needs at most ⌈first/M⌉
+//     selection passes, no more than the paper's largest leaf.
+//
+// Only leaf-parent nodes are narrowed. Narrowing deeper nodes (packing
+// full-height subtrees or even-splitting them) changes which leaves
+// sit at which depth in ragged trees and raises total writes, so they
+// keep the paper cut. The simulator (aemsort.mergeSortRec) keeps the
+// paper cut everywhere: only its writes are compared, and they agree.
 
 // planNode is one node of the merge tree: a contiguous record range of
 // the input. Leaves are formed runs; internal nodes merge their
@@ -50,11 +73,16 @@ type Plan struct {
 	root   *planNode
 	levels int // merge levels; 0 when the whole input is one run
 	runs   int // number of leaves
+	width  int // largest child count of any merge node
 }
 
 // NewPlan builds the merge tree for n records under memory mem, block
-// size block, read multiplier k, and fan-in l (0 means the canonical
-// k*mem/block, min 2 — the value that matches the simulated ledger).
+// size block, read multiplier k, and fan-in bound l (0 means the
+// canonical k*mem/block, min 2 — the value that matches the simulated
+// ledger). Nodes are cut by aemsort.Partition at l, except that a node
+// whose paper-cut children would all be leaves takes the fewest
+// children that fit its largest paper leaf's pass budget (see the file
+// comment), so l bounds the width rather than fixing it.
 func NewPlan(n, mem, block, k, fanIn int) *Plan {
 	if block < 1 || mem < block || mem%block != 0 || k < 1 {
 		panic("extmem: NewPlan needs block >= 1, mem a positive multiple of block, k >= 1")
@@ -73,7 +101,8 @@ func NewPlan(n, mem, block, k, fanIn int) *Plan {
 	return p
 }
 
-// build is aemsort.mergeSortRec's recursion over record ranges.
+// build is aemsort.mergeSortRec's recursion over record ranges, with
+// leaf-parent nodes narrowed.
 func (p *Plan) build(lo, hi int) *planNode {
 	n := hi - lo
 	if n <= p.K*p.Mem {
@@ -83,7 +112,14 @@ func (p *Plan) build(lo, hi int) *planNode {
 	// n > kM ≥ B spans two or more blocks, so with l ≥ 2 the cut
 	// always yields at least two children.
 	bounds := aemsort.Partition(n, p.Block, p.FanIn)
+	if first := bounds[1]; first <= p.K*p.Mem {
+		// Leaf-parent: re-cut into ⌈n/cap⌉ children. cap ≤ kM < n, so
+		// there are still at least two, each of at most cap records.
+		capacity := (first + p.Mem - 1) / p.Mem * p.Mem
+		bounds = aemsort.Partition(n, p.Block, (n+capacity-1)/capacity)
+	}
 	kids := make([]*planNode, len(bounds)-1)
+	p.width = max(p.width, len(kids))
 	for i := range kids {
 		kids[i] = p.build(lo+bounds[i], lo+bounds[i+1])
 	}
@@ -155,6 +191,10 @@ func (p *Plan) Levels() int { return p.levels }
 
 // Runs returns the number of leaf runs the plan forms.
 func (p *Plan) Runs() int { return p.runs }
+
+// Width returns the largest child count of any merge node — the widest
+// loser tree the engine builds — or 0 when the plan has no merge.
+func (p *Plan) Width() int { return p.width }
 
 // LevelWrites predicts the block writes per level: index 0 is run
 // formation (every leaf writes ⌈len/B⌉ blocks once), index ℓ ≥ 1 the

@@ -12,20 +12,33 @@ import (
 // packages co and prim. They operate on raw slices under a Pool and are
 // what the prims dispatchers (prims.go) route to off the simulators.
 
-// sortLeaf is the sequential base-case size of the native mergesort.
+// sortLeaf is the size at or below which the native quicksort stops
+// forking and finishes sequentially.
 const sortLeaf = 1 << 12
 
-// SortRecords sorts recs in place: parallel mergesort with merge-path
-// parallel merges and SeqSortRecords leaves. The order is the strict
-// total order seq.TotalLess, matching every metered sort in the
-// repository, so native and simulated runs produce identical outputs.
+// SortRecords sorts recs in place: a parallel quicksort whose two sides
+// run through the pool while they are above sortLeaf, finishing each
+// side with the sequential SeqSortRecords loop. It allocates no
+// scratch. The order is the strict total order seq.TotalLess, matching
+// every metered sort in the repository; records equal under it are
+// identical, so the output is the same at every worker count and the
+// same as the simulated runs'.
 func SortRecords(p *Pool, recs []seq.Record) {
-	if len(recs) <= sortLeaf || p.tokens == nil {
-		SeqSortRecords(recs)
+	parQuickRecs(p, recs, 2*bits.Len(uint(len(recs))))
+}
+
+// parQuickRecs is quickRecs with both sides of each partition forked
+// through the pool above sortLeaf.
+func parQuickRecs(p *Pool, a []seq.Record, depth int) {
+	if len(a) <= sortLeaf || depth == 0 || p.tokens == nil {
+		quickRecs(a, depth)
 		return
 	}
-	buf := make([]seq.Record, len(recs))
-	msort(p, recs, buf, false)
+	j := hoarePartition(a)
+	p.Run(
+		func() { parQuickRecs(p, a[:j+1], depth-1) },
+		func() { parQuickRecs(p, a[j+1:], depth-1) },
+	)
 }
 
 // SeqSortRecords sorts recs in place by the repository's total record
@@ -46,18 +59,7 @@ func quickRecs(a []seq.Record, depth int) {
 			return
 		}
 		depth--
-		v := median3(a[0], a[len(a)/2], a[len(a)-1])
-		i, j := -1, len(a)
-		for {
-			for i++; seq.TotalLess(a[i], v); i++ {
-			}
-			for j--; seq.TotalLess(v, a[j]); j-- {
-			}
-			if i >= j {
-				break
-			}
-			a[i], a[j] = a[j], a[i]
-		}
+		j := hoarePartition(a)
 		// Recurse into the smaller half, iterate on the larger, so the
 		// stack stays O(log n) even when the depth guard never trips.
 		if j+1 <= len(a)-(j+1) {
@@ -79,6 +81,24 @@ func quickRecs(a []seq.Record, depth int) {
 	}
 }
 
+// hoarePartition partitions a (len ≥ 3) around the median of its
+// first, middle and last records and returns j such that every record
+// of a[:j+1] is ≤ every record of a[j+1:].
+func hoarePartition(a []seq.Record) int {
+	v := median3(a[0], a[len(a)/2], a[len(a)-1])
+	i, j := -1, len(a)
+	for {
+		for i++; seq.TotalLess(a[i], v); i++ {
+		}
+		for j--; seq.TotalLess(v, a[j]); j-- {
+		}
+		if i >= j {
+			return j
+		}
+		a[i], a[j] = a[j], a[i]
+	}
+}
+
 // median3 returns the median of three records under seq.TotalLess.
 func median3(x, y, z seq.Record) seq.Record {
 	if seq.TotalLess(y, x) {
@@ -91,97 +111,6 @@ func median3(x, y, z seq.Record) seq.Record {
 		}
 	}
 	return y
-}
-
-// msort sorts a, leaving the result in b when toBuf is set and in a
-// otherwise. a and b have equal length and may not alias.
-func msort(p *Pool, a, b []seq.Record, toBuf bool) {
-	n := len(a)
-	if n <= sortLeaf {
-		if toBuf {
-			copy(b, a)
-			SeqSortRecords(b)
-		} else {
-			SeqSortRecords(a)
-		}
-		return
-	}
-	mid := n / 2
-	p.Run(
-		func() { msort(p, a[:mid], b[:mid], !toBuf) },
-		func() { msort(p, a[mid:], b[mid:], !toBuf) },
-	)
-	if toBuf {
-		mergeInto(p, a[:mid], a[mid:], b)
-	} else {
-		mergeInto(p, b[:mid], b[mid:], a)
-	}
-}
-
-// mergeInto merges sorted x and y into out (len(x)+len(y) == len(out))
-// by cutting the output into per-worker chunks located with diagonal
-// searches — the merge-path scheme of prim.Merge, natively.
-func mergeInto(p *Pool, x, y, out []seq.Record) {
-	total := len(x) + len(y)
-	if p.tokens == nil || total <= 2*sortLeaf {
-		seqMergeInto(x, y, out)
-		return
-	}
-	chunks := 4 * p.procs
-	L := (total + chunks - 1) / chunks
-	p.ForGrain(chunks, 1, func(t int) {
-		k0 := t * L
-		if k0 >= total {
-			return
-		}
-		k1 := k0 + L
-		if k1 > total {
-			k1 = total
-		}
-		i0 := diagRecords(x, y, k0)
-		i1 := diagRecords(x, y, k1)
-		seqMergeInto(x[i0:i1], y[k0-i0:k1-i1], out[k0:k1])
-	})
-}
-
-// diagRecords returns how many elements of x fall among the first k of
-// the merge of x and y, ties favouring x (stable left priority).
-func diagRecords(x, y []seq.Record, k int) int {
-	lo := 0
-	if k > len(y) {
-		lo = k - len(y)
-	}
-	hi := k
-	if hi > len(x) {
-		hi = len(x)
-	}
-	for lo < hi {
-		i := int(uint(lo+hi) >> 1)
-		j := k - i - 1
-		if !seq.TotalLess(y[j], x[i]) {
-			lo = i + 1
-		} else {
-			hi = i
-		}
-	}
-	return lo
-}
-
-// seqMergeInto sequentially merges sorted x and y into out.
-func seqMergeInto(x, y, out []seq.Record) {
-	i, j, k := 0, 0, 0
-	for i < len(x) && j < len(y) {
-		if !seq.TotalLess(y[j], x[i]) {
-			out[k] = x[i]
-			i++
-		} else {
-			out[k] = y[j]
-			j++
-		}
-		k++
-	}
-	k += copy(out[k:], x[i:])
-	copy(out[k:], y[j:])
 }
 
 // scanParallelMin is the size below which the native scan runs

@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -30,10 +32,11 @@ func reference(in []seq.Record) []seq.Record {
 }
 
 // TestSortRecordsMatchesSlicesSort is the native-backend property test:
-// across input families, sizes (including 0 and 1), and worker counts,
+// across input families, sizes (including 0 and 1, and 1<<16, which
+// forks the parallel quicksort several levels deep), and worker counts,
 // SortRecords must agree element-for-element with the stdlib sort.
 func TestSortRecordsMatchesSlicesSort(t *testing.T) {
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 2, 4} {
 		p := NewPool(procs)
 		for _, n := range []int{0, 1, 2, 3, 100, sortLeaf, sortLeaf + 1, 3*sortLeaf + 17, 1 << 16} {
 			for name, in := range inputFamilies(n, uint64(n)+77) {
@@ -44,6 +47,51 @@ func TestSortRecordsMatchesSlicesSort(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSortRecordsInPlace bounds what a parallel SortRecords allocates:
+// the fork closures and goroutines only, nowhere near an n-record
+// scratch (8 MiB here).
+func TestSortRecordsInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under -race")
+	}
+	const n = 1 << 19
+	p := NewPool(2)
+	in := seq.Uniform(n, 7)
+	buf := make([]seq.Record, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 3; i++ {
+		copy(buf, in)
+		SortRecords(p, buf)
+	}
+	runtime.ReadMemStats(&after)
+	perSort := (after.TotalAlloc - before.TotalAlloc) / 3
+	t.Logf("%d bytes allocated per %d-record sort", perSort, n)
+	if limit := uint64(n * 16 / 64); perSort > limit {
+		t.Fatalf("SortRecords allocated %d bytes per sort, limit %d", perSort, limit)
+	}
+}
+
+// BenchmarkSortRecords times the native sort on a uniform 512Ki-record
+// input at one and two workers.
+func BenchmarkSortRecords(b *testing.B) {
+	const n = 1 << 19
+	in := seq.Uniform(n, 7)
+	buf := make([]seq.Record, n)
+	for _, procs := range []int{1, 2} {
+		p := NewPool(procs)
+		b.Run(fmt.Sprintf("P=%d", procs), func(b *testing.B) {
+			b.SetBytes(n * 16)
+			b.ReportAllocs()
+			for b.Loop() {
+				copy(buf, in)
+				SortRecords(p, buf)
+			}
+		})
 	}
 }
 

@@ -29,7 +29,9 @@ func Scan(c Ctx, a Arr[uint64]) uint64 {
 	panic("rt: unknown backend")
 }
 
-// MergeSort sorts in into a fresh array by parallel mergesort.
+// MergeSort sorts in into a fresh array: by parallel mergesort on the
+// metered backends, by the in-place parallel quicksort SortRecords on
+// the native one (the same total order, so the same output).
 func MergeSort(c Ctx, in Arr[seq.Record]) Arr[seq.Record] {
 	switch cc := c.(type) {
 	case *SimCO:
