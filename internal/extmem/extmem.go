@@ -15,9 +15,11 @@
 //     sorted runs spilled to a temp file. A leaf of up to kM records is
 //     formed with the Lemma 4.2 selection sort under the M-record
 //     budget: up to k read passes over the leaf, each retaining the M
-//     smallest records above the previous pass's watermark in a bounded
-//     max-heap, sorting the retained set in parallel with
-//     rt.SortRecords on the rt native pool, and writing it out once.
+//     smallest records above the previous pass's watermark, sorting the
+//     retained set in parallel with rt.SortRecords on the rt native
+//     pool, and writing it out once. The first pass selects through a
+//     bounded max-heap while it counts the leaf into a key histogram;
+//     the later passes route by that histogram and heap only one bucket.
 //     One pass loop serves every worker count: on one worker it sorts
 //     and writes each set inline; on a parallel pool (Config.Procs > 1)
 //     it feeds a three-stage read→sort→write pipeline across the
@@ -155,7 +157,8 @@ type Config struct {
 	// therefore keeps its resident record storage at M throughout;
 	// outside the budget ride only what the simulator's slackBlocks
 	// also grants — O(fan-in) metadata, a streaming read chunk, the
-	// bounded encode/decode scratch pool. On a parallel engine the
+	// bounded encode/decode scratch pool — plus the selection passes'
+	// 64 KiB key histogram. On a parallel engine the
 	// formation pipeline circulates two candidate buffers (rt.SortRecords
 	// sorts them in place), each of the P merge workers carves its f
 	// run shares and its two write-behind buffers from its own M

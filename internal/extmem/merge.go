@@ -27,6 +27,10 @@ type engine struct {
 	out     *BlockFile
 	spill   [2]*BlockFile // ping-pong by level parity; created lazily
 	readBuf []seq.Record  // streaming chunk for selection passes
+	// hist is the selection passes' key histogram, allocated by the
+	// first leaf that needs more than one pass and reused by every
+	// later one.
+	hist *keyHist
 	// ioq is the engine's IO session: queued on a parallel engine (the
 	// shared Config.IOQ or a private queue), queueless — every transfer
 	// inline — on a one-worker engine.

@@ -195,24 +195,15 @@ func topkExt(cfg extmem.Config, inPath, outPath string, p Params) (*ExtResult, e
 	if k > cfg.Mem {
 		return nil, fmt.Errorf("kernel top-k: k=%d exceeds the %d-record grant: %w", k, cfg.Mem, ErrBudget)
 	}
-	heap := make([]seq.Record, 0, k)
+	bh := extmem.NewBoundedHeap(make([]seq.Record, 0, k))
 	err = extmem.ScanRecords(in, cfg.InSkip, in.Len(), func(r seq.Record) error {
-		if len(heap) < k {
-			heap = append(heap, r)
-			if len(heap) == k {
-				for i := k/2 - 1; i >= 0; i-- {
-					siftDownMax(heap, i)
-				}
-			}
-		} else if k > 0 && seq.TotalLess(r, heap[0]) {
-			heap[0] = r
-			siftDownMax(heap, 0)
-		}
+		bh.Push(r)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	heap := bh.Records()
 	if len(heap) < k {
 		// n < k never reaches here (k clamped), so this is defensive.
 		k = len(heap)
@@ -231,27 +222,6 @@ func topkExt(cfg extmem.Config, inPath, outPath string, p Params) (*ExtResult, e
 		PlanWrites: blocksOf(k, cfg.Block),
 		OutN:       k,
 	}, nil
-}
-
-// siftDownMax restores the max-heap property (under seq.TotalLess)
-// below index i.
-func siftDownMax(h []seq.Record, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		big := l
-		if r := l + 1; r < n && seq.TotalLess(h[l], h[r]) {
-			big = r
-		}
-		if !seq.TotalLess(h[i], h[big]) {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
 }
 
 // mergejoinExt sorts both relations with the write-efficient engine —

@@ -26,6 +26,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 
 	"asymsort/internal/extmem"
 	"asymsort/internal/seq"
@@ -34,6 +35,30 @@ import (
 
 // stageChunk is the record granularity of staging and output streams.
 const stageChunk = 1 << 14
+
+// The binary dialect's per-job buffers — the 1 MiB staging and
+// streaming writers, the frame reader's 64 KiB buffer, and the stream's
+// raw chunk — are pooled: a daemon stages and streams every job through
+// them, and fresh ones per job are megabytes of garbage its heap grows
+// to hold.
+var (
+	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<20) }}
+	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+	rawPool    = sync.Pool{New: func() any { return new([stageChunk * extmem.RecordBytes]byte) }}
+)
+
+// getWriter returns a pooled 1 MiB writer onto w; putWriter drops its
+// reference to w and returns it.
+func getWriter(w io.Writer) *bufio.Writer {
+	bw := writerPool.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
+}
+
+func putWriter(bw *bufio.Writer) {
+	bw.Reset(nil)
+	writerPool.Put(bw)
+}
 
 // maxLineBytes caps one text-dialect input line. A line is one decimal
 // uint64 (≤ 20 digits); the cap is generous for whitespace junk while
@@ -115,7 +140,8 @@ func (c Codec) Stream(w io.Writer, path string, n int) error {
 // coordinator's gather: sorted shard files stream back-to-back as one
 // frame (or one text body) without ever being merged on disk.
 func (c Codec) StreamFiles(w io.Writer, paths []string, n int) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
+	bw := getWriter(w)
+	defer putWriter(bw)
 	if c.Binary {
 		if err := streamRecords(paths, n, bw); err != nil {
 			return err
@@ -188,7 +214,13 @@ func stageKeys(r io.Reader, dst string) (int, error) {
 // header occupies exactly one record slot by design. Either way the
 // body is validated as it spools and never parsed record-by-record.
 func stageRecords(r io.Reader, dst string) (int, int, error) {
-	fr, err := wire.NewReader(r)
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		br.Reset(nil)
+		readerPool.Put(br)
+	}()
+	fr, err := wire.NewReader(br)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -197,7 +229,8 @@ func stageRecords(r io.Reader, dst string) (int, int, error) {
 		return 0, 0, err
 	}
 	defer f.Close()
-	bw := bufio.NewWriterSize(f, 1<<20)
+	bw := getWriter(f)
+	defer putWriter(bw)
 	skip := 0
 	if hdr := fr.Header(); hdr.Contiguous {
 		raw, err := wire.AppendHeader(nil, hdr)
@@ -262,7 +295,9 @@ func streamRecords(binPaths []string, n int, bw *bufio.Writer) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, stageChunk*extmem.RecordBytes)
+	raw := rawPool.Get().(*[stageChunk * extmem.RecordBytes]byte)
+	defer rawPool.Put(raw)
+	buf := raw[:]
 	for _, binPath := range binPaths {
 		f, err := os.Open(binPath)
 		if err != nil {

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"asymsort/internal/seq"
@@ -107,5 +110,36 @@ func TestServeContiguousFrame(t *testing.T) {
 	resp, body := s.postRaw(t, "", wire.ContentType, "", frame[:len(frame)-8])
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated contiguous frame: status %d: %.300s", resp.StatusCode, body)
+	}
+}
+
+// TestCodecReusesBuffers: the binary dialect's staging and streaming
+// buffers are pooled, so once they are warm a Stage+Stream of a small
+// frame allocates less than 64 KiB — not a fresh 1 MiB writer each way
+// plus the frame reader's and the stream's chunk buffers.
+func TestCodecReusesBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets do not hold under -race")
+	}
+	dir := t.TempDir()
+	frame := frameOfKeys(t, genKeys(100, 5), 64)
+	c := Codec{Binary: true}
+	job := func(i int) {
+		staged := filepath.Join(dir, fmt.Sprintf("staged-%d.bin", i))
+		n, _, err := c.Stage(bytes.NewReader(frame), staged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Stream(io.Discard, staged, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	job(1)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("the second Stage+Stream allocated %d bytes, budget 64 KiB", got)
 	}
 }

@@ -263,16 +263,17 @@ func WriteContiguousHeader(w io.Writer, count int64) error {
 	return err
 }
 
-// Reader decodes one frame from a stream, either dialect.
+// Reader decodes one frame from a stream, either dialect. It decodes
+// and spools payload straight out of its bufio.Reader's buffer, so it
+// holds no record-sized buffer of its own.
 type Reader struct {
 	r    *bufio.Reader
 	hdr  Header
 	read int64 // records consumed so far
 	// remaining payload records in the current chunk (or, contiguous,
 	// in the whole frame); -1 before the next chunk prefix is read
-	chunk   int64
-	done    bool
-	scratch []byte
+	chunk int64
+	done  bool
 }
 
 // NewReader reads the header off r and returns a Reader positioned at
@@ -328,6 +329,31 @@ func (fr *Reader) nextChunk() (bool, error) {
 	return true, nil
 }
 
+// payload consumes the next n payload records of the current chunk,
+// handing them to fn in steps of at most the buffered reader's size
+// taken straight out of its buffer. A frame that ends first is an
+// ErrFormat naming the records consumed before the n.
+func (fr *Reader) payload(n int64, fn func(raw []byte) error) error {
+	step := int64(fr.r.Size() / RecordBytes * RecordBytes)
+	for left := n * RecordBytes; left > 0; {
+		raw, err := fr.r.Peek(int(min(left, step)))
+		if err != nil {
+			return formatErr("truncated mid-chunk after %d records: %v", fr.read, err)
+		}
+		if err := fn(raw); err != nil {
+			return err
+		}
+		fr.r.Discard(len(raw))
+		left -= int64(len(raw))
+	}
+	fr.read += n
+	fr.chunk -= n
+	if fr.hdr.Contiguous && fr.chunk == 0 {
+		fr.done = true
+	}
+	return nil
+}
+
 // ReadRecords decodes up to len(buf) records, returning the count and
 // io.EOF once the frame is exhausted (a clean end is (0, io.EOF)).
 func (fr *Reader) ReadRecords(buf []seq.Record) (int, error) {
@@ -346,34 +372,28 @@ func (fr *Reader) ReadRecords(buf []seq.Record) (int, error) {
 			}
 			return filled, nil
 		}
-		n := int64(len(buf) - filled)
-		if n > fr.chunk {
-			n = fr.chunk
+		n := min(int64(len(buf)-filled), fr.chunk)
+		dst := buf[filled : filled+int(n)]
+		err = fr.payload(n, func(raw []byte) error {
+			k := len(raw) / RecordBytes
+			DecodeRecords(dst[:k], raw)
+			dst = dst[k:]
+			return nil
+		})
+		if err != nil {
+			return filled, err
 		}
-		if need := int(n) * RecordBytes; cap(fr.scratch) < need {
-			fr.scratch = make([]byte, need)
-		}
-		raw := fr.scratch[:n*RecordBytes]
-		if _, err := io.ReadFull(fr.r, raw); err != nil {
-			return filled, formatErr("truncated mid-chunk after %d records: %v", fr.read, err)
-		}
-		DecodeRecords(buf[filled:filled+int(n)], raw)
 		filled += int(n)
-		fr.read += n
-		fr.chunk -= n
-		if fr.hdr.Contiguous && fr.chunk == 0 {
-			fr.done = true
-		}
 	}
 	return filled, nil
 }
 
 // Spool copies the frame's payload to w as raw record bytes — no
 // decode, the zero-copy staging path — validating the framing as it
-// goes, and returns the record count. The copy buffer is bounded by
-// the chunk cap.
+// goes, and returns the record count. It writes straight out of the
+// buffered reader, in steps of at most its size, and counts records a
+// chunk's worth (at most MaxChunkRecs) at a time.
 func (fr *Reader) Spool(w io.Writer) (int64, error) {
-	buf := make([]byte, MaxChunkRecs*RecordBytes)
 	for {
 		ok, err := fr.nextChunk()
 		if err != nil {
@@ -382,21 +402,12 @@ func (fr *Reader) Spool(w io.Writer) (int64, error) {
 		if !ok {
 			return fr.read, nil
 		}
-		n := fr.chunk
-		if max := int64(len(buf) / RecordBytes); n > max {
-			n = max
-		}
-		raw := buf[:n*RecordBytes]
-		if _, err := io.ReadFull(fr.r, raw); err != nil {
-			return fr.read, formatErr("truncated mid-chunk after %d records: %v", fr.read, err)
-		}
-		if _, err := w.Write(raw); err != nil {
+		err = fr.payload(min(fr.chunk, MaxChunkRecs), func(raw []byte) error {
+			_, err := w.Write(raw)
+			return err
+		})
+		if err != nil {
 			return fr.read, err
-		}
-		fr.read += n
-		fr.chunk -= n
-		if fr.hdr.Contiguous && fr.chunk == 0 {
-			fr.done = true
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"testing"
 
 	"asymsort/internal/seq"
@@ -268,5 +272,65 @@ func TestWriteRaw(t *testing.T) {
 	}
 	if err := fw.WriteRaw(make([]byte, RecordBytes+1)); err == nil {
 		t.Fatal("WriteRaw accepted a ragged payload")
+	}
+}
+
+// TestReaderSteps: ReadRecords and Spool work straight out of the
+// bufio.Reader's buffer in steps of at most its size. A 16-byte reader
+// (one record per step) must decode what a 64 KiB one does, and a frame
+// cut mid-chunk must fail with ErrFormat after the same record count
+// on both — the records of the failed read's completed steps are not
+// counted.
+func TestReaderSteps(t *testing.T) {
+	recs := seq.Uniform(100, 5)
+	good := encodeFrame(t, recs, 100, 32)
+	// Cut 20 records and 5 bytes into the second 32-record chunk.
+	cut := good[:HeaderBytes+4+32*RecordBytes+4+20*RecordBytes+5]
+	for _, size := range []int{16, 1 << 16} {
+		open := func(raw []byte) *Reader {
+			fr, err := NewReader(bufio.NewReaderSize(bytes.NewReader(raw), size))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fr
+		}
+		drain := func(raw []byte, bufRecs int) ([]seq.Record, error) {
+			fr := open(raw)
+			var out []seq.Record
+			buf := make([]seq.Record, bufRecs)
+			for {
+				n, err := fr.ReadRecords(buf)
+				out = append(out, buf[:n]...)
+				if err == io.EOF {
+					return out, nil
+				}
+				if err != nil {
+					return out, err
+				}
+			}
+		}
+		if got, err := drain(good, 100); err != nil || !slices.Equal(got, recs) {
+			t.Fatalf("size %d: decoded %d records (err %v), want the 100 written", size, len(got), err)
+		}
+		for _, tc := range []struct{ bufRecs, want int }{{100, 32}, {16, 48}} {
+			got, err := drain(cut, tc.bufRecs)
+			if !errors.Is(err, ErrFormat) || len(got) != tc.want {
+				t.Fatalf("size %d, buffer %d: decoded %d records with err %v, want %d and ErrFormat",
+					size, tc.bufRecs, len(got), err, tc.want)
+			}
+			if !slices.Equal(got, recs[:tc.want]) {
+				t.Fatalf("size %d, buffer %d: the records before the cut differ", size, tc.bufRecs)
+			}
+			if msg := fmt.Sprintf("after %d records", tc.want); !strings.Contains(err.Error(), msg) {
+				t.Fatalf("size %d, buffer %d: error %q does not say %q", size, tc.bufRecs, err, msg)
+			}
+		}
+		var spooled bytes.Buffer
+		if n, err := open(good).Spool(&spooled); err != nil || n != 100 || spooled.Len() != 100*RecordBytes {
+			t.Fatalf("size %d: spooled %d records, %d bytes (err %v)", size, n, spooled.Len(), err)
+		}
+		if n, err := open(cut).Spool(io.Discard); !errors.Is(err, ErrFormat) || n != 32 {
+			t.Fatalf("size %d: spooled a cut frame as %d records with err %v, want 32 and ErrFormat", size, n, err)
+		}
 	}
 }
