@@ -30,10 +30,11 @@ import (
 // one bucket that straddles the M-th record goes through a bounded
 // max-heap confined to the rest of the set, and every higher bucket is
 // skipped. Passes 2..k are therefore linear unless one bucket holds
-// most of the leaf (few distinct keys). The first pass is the same
-// routine with an empty sure range and everything routed to the heap.
-// A scan whose sure count disagrees with the histogram is an error,
-// never a wrong run.
+// most of the leaf: few distinct keys, or keys outside the first
+// fill's range, which clamp into an end bucket (a reverse-sorted leaf).
+// The first pass is the same routine with an empty sure range and
+// everything routed to the heap. A scan whose sure count disagrees with
+// the histogram is an error, never a wrong run.
 //
 // One pass loop (produceLeaves) owns every read of the phase and hands
 // each candidate set to a formSink. On a one-worker pool the sink sorts

@@ -113,33 +113,50 @@ func TestServeContiguousFrame(t *testing.T) {
 	}
 }
 
-// TestCodecReusesBuffers: the binary dialect's staging and streaming
-// buffers are pooled, so once they are warm a Stage+Stream of a small
-// frame allocates less than 64 KiB — not a fresh 1 MiB writer each way
-// plus the frame reader's and the stream's chunk buffers.
+// TestCodecReusesBuffers: the codec's staging and streaming buffers
+// are pooled, so once they are warm a Stage+Stream of a small binary
+// frame allocates less than 64 KiB — not a fresh writer each way plus
+// the frame reader's and the stream's chunk buffers — and one of a
+// small text body less than 128 KiB, its line scanner's 64 KiB buffer
+// included.
 func TestCodecReusesBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets do not hold under -race")
 	}
-	dir := t.TempDir()
-	frame := frameOfKeys(t, genKeys(100, 5), 64)
-	c := Codec{Binary: true}
-	job := func(i int) {
-		staged := filepath.Join(dir, fmt.Sprintf("staged-%d.bin", i))
-		n, _, err := c.Stage(bytes.NewReader(frame), staged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Stream(io.Discard, staged, n); err != nil {
-			t.Fatal(err)
-		}
+	keys := genKeys(100, 5)
+	var text bytes.Buffer
+	for _, k := range keys {
+		fmt.Fprintf(&text, "%d\n", k)
 	}
-	job(0)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	job(1)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
-		t.Fatalf("the second Stage+Stream allocated %d bytes, budget 64 KiB", got)
+	for _, tc := range []struct {
+		name   string
+		codec  Codec
+		body   []byte
+		budget uint64
+	}{
+		{"binary", Codec{Binary: true}, frameOfKeys(t, keys, 64), 64 << 10},
+		{"text", Codec{}, text.Bytes(), 128 << 10},
+	} {
+		dir := t.TempDir()
+		job := func(i int) {
+			staged := filepath.Join(dir, fmt.Sprintf("staged-%d.bin", i))
+			n, _, err := tc.codec.Stage(bytes.NewReader(tc.body), staged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.codec.Stream(io.Discard, staged, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		job(0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		job(1)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: the second Stage+Stream allocated %d bytes", tc.name, got)
+		if got >= tc.budget {
+			t.Errorf("%s: the second Stage+Stream allocated %d bytes, budget %d", tc.name, got, tc.budget)
+		}
 	}
 }
