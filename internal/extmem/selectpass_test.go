@@ -263,16 +263,24 @@ func BenchmarkSelectPass(b *testing.B) {
 	cand := make([]seq.Record, 0, mem)
 	b.SetBytes(n * RecordBytes)
 	for b.Loop() {
-		var watermark seq.Record
-		for taken := 0; taken < n; {
-			got, _, err := e.selectPass(nd, watermark, taken, cand)
-			if err != nil {
-				b.Fatal(err)
-			}
-			watermark = slices.MaxFunc(got, seq.TotalCompare)
-			taken += len(got)
+		if err := leafPasses(e, nd, cand); err != nil {
+			b.Fatal(err)
 		}
 	}
+}
+
+// leafPasses runs selectPass over the leaf until it is formed.
+func leafPasses(e *engine, nd *planNode, cand []seq.Record) error {
+	var watermark seq.Record
+	for taken := 0; taken < nd.len(); {
+		got, _, err := e.selectPass(nd, watermark, taken, cand)
+		if err != nil {
+			return err
+		}
+		watermark = slices.MaxFunc(got, seq.TotalCompare)
+		taken += len(got)
+	}
+	return nil
 }
 
 // TestSelectPassAllocs: a leaf's selection passes allocate nothing —
@@ -286,14 +294,8 @@ func TestSelectPassAllocs(t *testing.T) {
 	e, nd := passEngine(t, seq.Uniform(n, 4), mem, formChunk)
 	cand := make([]seq.Record, 0, mem)
 	allocs := testing.AllocsPerRun(3, func() {
-		var watermark seq.Record
-		for taken := 0; taken < n; {
-			got, _, err := e.selectPass(nd, watermark, taken, cand)
-			if err != nil {
-				t.Fatal(err)
-			}
-			watermark = slices.MaxFunc(got, seq.TotalCompare)
-			taken += len(got)
+		if err := leafPasses(e, nd, cand); err != nil {
+			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {

@@ -343,7 +343,7 @@ func (fr *Reader) payload(n int64, fn func(raw []byte) error) error {
 		if err := fn(raw); err != nil {
 			return err
 		}
-		fr.r.Discard(len(raw))
+		_, _ = fr.r.Discard(len(raw)) // the peeked bytes are buffered: cannot fail
 		left -= int64(len(raw))
 	}
 	fr.read += n
