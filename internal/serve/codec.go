@@ -37,8 +37,8 @@ import (
 // and output batches.
 const stageChunk = 1 << 14
 
-// codecBuf sizes the binary dialect's buffers: the staging and
-// streaming writers, the frame reader, and the stream's raw file chunk.
+// codecBuf sizes the codec's byte buffers: the staging and streaming
+// writers, the frame reader, and the binary stream's raw file chunk.
 const codecBuf = 64 << 10
 
 // The per-job codec buffers are pooled: a daemon stages and streams
