@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -148,15 +149,23 @@ func TestCodecReusesBuffers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		job(0)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		job(1)
-		runtime.ReadMemStats(&after)
-		got := after.TotalAlloc - before.TotalAlloc
-		t.Logf("%s: the second Stage+Stream allocated %d bytes", tc.name, got)
+		// A pool keeps a per-P private item that a goroutine moved to
+		// another P cannot see, and TotalAlloc counts every goroutine,
+		// so warm up a few jobs and take the least of a few measured.
+		for i := range 4 {
+			job(i)
+		}
+		got := uint64(math.MaxUint64)
+		for i := range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			job(4 + i)
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%s: a warm Stage+Stream allocated %d bytes", tc.name, got)
 		if got >= tc.budget {
-			t.Errorf("%s: the second Stage+Stream allocated %d bytes, budget %d", tc.name, got, tc.budget)
+			t.Errorf("%s: a warm Stage+Stream allocated %d bytes, budget %d", tc.name, got, tc.budget)
 		}
 	}
 }
